@@ -3,7 +3,9 @@
 Seven approximations: three fixed-weight means of the bracketing bounds
 (ber1, ber2, ber3, each with an equivalent closed form), one standalone
 closed form (ber4), and three variable-weight means (ber5, ber6, ber7)
-driven by the piecewise weight functions omega5..omega7.
+driven by the piecewise weight functions omega5..omega7. `evaluate`
+computes any of the 19 sweep columns (`COLUMNS`) over an array of SNRs
+in one call; the scalar functions are thin wrappers over it.
 
 Weight-argument convention: the weight functions take the LINEAR bit
 SNR. This was fixed empirically by evaluating the relative errors of
@@ -20,12 +22,20 @@ the reading is pinned by a regression test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from . import specfun
-from .bounds import SnrPoint, bound_set, channel_params, exact_ber, solve_rho0
+import numpy as np
+
+from . import bounds
+from .bounds import SnrPoint, solve_rho0
 
 _SQRT_PI_8 = math.sqrt(math.pi / 8.0)
+
+# The sweep columns, in their CSV order.
+COLUMNS = (
+    "exact", "l1", "l2", "u1", "u2", "u3", "ber1", "ber2", "ber3", "ber4",
+    "ber5", "ber6", "ber7", "eps5", "eps6", "eps7", "w5", "w6", "w7",
+)
 
 
 @dataclass(frozen=True)
@@ -44,62 +54,112 @@ class ApproxSet:
     eps7: float
 
 
-def weighted_mean(x: float, y: float, w: float) -> float:
+def weighted_mean(x, y, w):
     """w x + (1 - w) y; lies in [min(x, y), max(x, y)] for w in [0, 1]."""
     return w * x + (1.0 - w) * y
 
 
-def _check_gamma(gamma: float, minimum_exclusive: bool) -> float:
-    gamma = float(gamma)
-    if math.isnan(gamma):
+def _check_gamma(gamma, minimum_exclusive: bool) -> np.ndarray:
+    g = np.asarray(gamma, dtype=float)
+    if np.isnan(g).any():
         raise ValueError("gamma must not be NaN")
     if minimum_exclusive:
-        if gamma <= 0.0:
+        if (g <= 0.0).any():
             raise ValueError("gamma must be positive")
-    elif gamma < 0.0:
+    elif (g < 0.0).any():
         raise ValueError("gamma must be >= 0")
-    return gamma
+    return g
 
 
-def omega5(gamma: float) -> float:
+def _like(gamma, values: np.ndarray):
+    # A scalar argument gets a float back, an array argument an array.
+    return float(values) if np.ndim(gamma) == 0 else values
+
+
+def omega5(gamma):
     """Weight for the ber5 mean, two branches split at gamma = 1 (linear SNR)."""
-    gamma = _check_gamma(gamma, minimum_exclusive=True)
-    if gamma < 1.0:
-        return 0.65 * gamma**0.25
-    return 0.5 + 1.1 * math.exp(-math.pi / (2.0 * math.sqrt(gamma))) / gamma**1.5 * math.sqrt(0.5)
+    g = _check_gamma(gamma, minimum_exclusive=True)
+    return _like(gamma, np.piecewise(g, [g < 1.0], [
+        lambda x: 0.65 * x**0.25,
+        lambda x: 0.5 + 1.1 * np.exp(-math.pi / (2.0 * np.sqrt(x))) / x**1.5 * math.sqrt(0.5),
+    ]))
 
 
-def omega6(gamma: float) -> float:
+def omega6(gamma):
     """Weight for the ber6 mean, three branches split at gamma = 1 and 5."""
-    gamma = _check_gamma(gamma, minimum_exclusive=False)
-    if gamma < 1.0:
-        return math.exp(-gamma * gamma / 2.9) * 0.25 + 0.5
-    if gamma < 5.0:
-        return (
-            math.exp(-1.0 / (2.0 * gamma + 1.0))
-            / (gamma + 0.5) ** 1.5
-            * math.sqrt(1.0 / (2.0 * math.pi))
-            * 1.15
-            + 0.5
-        )
-    return (1.0 / math.pi) / (1.0 + gamma) * 0.65 + 0.5
+    g = _check_gamma(gamma, minimum_exclusive=False)
+    return _like(gamma, np.piecewise(g, [g < 1.0, (1.0 <= g) & (g < 5.0)], [
+        lambda x: np.exp(-x * x / 2.9) * 0.25 + 0.5,
+        lambda x: np.exp(-1.0 / (2.0 * x + 1.0)) / (x + 0.5) ** 1.5 * math.sqrt(1.0 / (2.0 * math.pi)) * 1.15 + 0.5,
+        lambda x: (1.0 / math.pi) / (1.0 + x) * 0.65 + 0.5,
+    ]))
 
 
-def omega7(gamma: float) -> float:
+def omega7(gamma):
     """Weight for the ber7 mean, three branches split at gamma = 1 and 8."""
-    gamma = _check_gamma(gamma, minimum_exclusive=False)
-    if gamma < 1.0:
-        return (1.0 - gamma) ** 2 * 0.95
-    if gamma < 8.0:
-        return 0.5 - 1.4 * math.exp(-(gamma**1.2)) + 0.02
-    return 1.0 / (5.2 * gamma) + 0.5
+    g = _check_gamma(gamma, minimum_exclusive=False)
+    return _like(gamma, np.piecewise(g, [g < 1.0, (1.0 <= g) & (g < 8.0)], [
+        lambda x: (1.0 - x) ** 2 * 0.95,
+        lambda x: 0.5 - 1.4 * np.exp(-(x**1.2)) + 0.02,
+        lambda x: 1.0 / (5.2 * x) + 0.5,
+    ]))
+
+
+_WEIGHTED = {"5": ("l1", "u1", omega5), "6": ("l2", "u2", omega6), "7": ("l2", "u3", omega7)}
+
+
+def evaluate(gamma_lin, columns) -> dict[str, np.ndarray]:
+    """The named `COLUMNS` at every linear SNR in `gamma_lin`, one array each.
+
+    ValueError for an unknown column, and for the lowest-index SNR at which
+    a requested column is undefined, with the scalar function's message.
+    """
+    unknown = [c for c in columns if c not in COLUMNS]
+    if unknown:
+        raise ValueError(f"unknown columns {unknown!r}")
+    g = np.atleast_1d(np.asarray(gamma_lin, dtype=float))
+    want = set(columns)
+    out: dict[str, np.ndarray] = {}
+    problems: list = []
+    with np.errstate(all="ignore"):
+        for k, (_, _, omega) in _WEIGHTED.items():
+            if want & {"w" + k, "ber" + k, "eps" + k}:
+                out["w" + k] = omega(g)
+        if want - {"w5", "w6", "w7"}:
+            out.update(bounds._columns(g, problems))
+            a, b, ive, e, big_e, q1, q2 = (out[k] for k in ("a", "b", "ive", "e", "big_e", "exp_ab", "exp_2ab"))
+            lam = solve_rho0().lambda0
+            # ber1..ber4: the closed forms in the docstrings of the scalar functions
+            out["ber1"] = _SQRT_PI_8 * (a + b) * ive * e
+            out["ber2"] = _SQRT_PI_8 * ive * big_e * ((a + b) - (a - b) * q2) / (1.0 - q2 * q2)
+            out["ber3"] = _SQRT_PI_8 * ive * (b * big_e / (1.0 - q2) + a * e / (1.0 + lam * q1))
+            head = np.exp(-0.5 * (b + a) ** 2) / np.sqrt(8.0 * math.pi * a * b)
+            out["ber4"] = head + 0.25 * (np.sqrt(a / b) + np.sqrt(b / a)) * big_e
+            if "ber4" in want:
+                bounds._require(problems, g, g >= 1e-12, "gamma too small for ber4 (diverges as gamma -> 0)")
+            for k, (lower, upper, _) in _WEIGHTED.items():
+                if "w" + k in out:
+                    out["ber" + k] = weighted_mean(out[lower], out[upper], out["w" + k])
+        if want & {"exact", "eps5", "eps6", "eps7"}:
+            exact = out["exact"] = bounds._exact(g)
+        if want & {"eps5", "eps6", "eps7"}:
+            bounds._require(problems, g, exact > 0.0, "exact must be positive")
+            for k in _WEIGHTED:
+                if "eps" + k in want:
+                    out["eps" + k] = (out["ber" + k] - exact) / exact
+    bounds._raise_first(problems)
+    return {c: out[c] for c in columns}
+
+
+def _at(snr: SnrPoint, names: tuple) -> dict[str, float]:
+    # The named columns at one SNR point, as floats.
+    values = evaluate(np.array([snr.gamma_lin]), names)
+    return {name: float(values[name][0]) for name in names}
 
 
 def ber1(snr: SnrPoint) -> float:
     """Midpoint of (l1, u1): sqrt(pi/8) (a+b) e^{-ab} I0(ab) e(a,b)."""
-    p = channel_params(snr)
-    ab = p.a * p.b
-    return _SQRT_PI_8 * (p.a + p.b) * specfun.bessel_i0_scaled(ab) * specfun.e_fn(p.a, p.b)
+    return _at(snr, ("ber1",))["ber1"]
 
 
 def ber2(snr: SnrPoint) -> float:
@@ -107,17 +167,7 @@ def ber2(snr: SnrPoint) -> float:
 
     sqrt(pi/8) I0(ab) E(a,b) [(a+b) e^{ab} - (a-b) e^{-ab}] / (e^{2ab} - e^{-2ab}).
     """
-    p = channel_params(snr)
-    ab = p.a * p.b
-    q2 = math.exp(-2.0 * ab)
-    num = (p.a + p.b) - (p.a - p.b) * q2
-    return (
-        _SQRT_PI_8
-        * specfun.bessel_i0_scaled(ab)
-        * specfun.E_fn(p.a, p.b)
-        * num
-        / (1.0 - q2 * q2)
-    )
+    return _at(snr, ("ber2",))["ber2"]
 
 
 def ber3(snr: SnrPoint) -> float:
@@ -125,12 +175,7 @@ def ber3(snr: SnrPoint) -> float:
 
     sqrt(pi/8) I0(ab) [b E(a,b)/(e^{ab} - e^{-ab}) + a e(a,b)/(e^{ab} + lambda0)].
     """
-    p = channel_params(snr)
-    ab = p.a * p.b
-    lam = solve_rho0().lambda0
-    lower_part = p.b * specfun.E_fn(p.a, p.b) / (1.0 - math.exp(-2.0 * ab))
-    upper_part = p.a * specfun.e_fn(p.a, p.b) / (1.0 + lam * math.exp(-ab))
-    return _SQRT_PI_8 * specfun.bessel_i0_scaled(ab) * (lower_part + upper_part)
+    return _at(snr, ("ber3",))["ber3"]
 
 
 def ber4(snr: SnrPoint) -> float:
@@ -139,30 +184,22 @@ def ber4(snr: SnrPoint) -> float:
     Diverges like 1/sqrt(ab) as gamma -> 0; inputs below 1e-12 linear are
     rejected.
     """
-    if snr.gamma_lin < 1e-12:
-        raise ValueError("gamma too small for ber4 (diverges as gamma -> 0)")
-    p = channel_params(snr)
-    head = math.exp(-0.5 * (p.b + p.a) ** 2) / math.sqrt(8.0 * math.pi * p.a * p.b)
-    tail = 0.25 * (math.sqrt(p.a / p.b) + math.sqrt(p.b / p.a)) * specfun.E_fn(p.a, p.b)
-    return head + tail
+    return _at(snr, ("ber4",))["ber4"]
 
 
 def ber5(snr: SnrPoint) -> float:
     """Variable-weight mean omega5 l1 + (1 - omega5) u1."""
-    bs = bound_set(snr)
-    return weighted_mean(bs.l1, bs.u1, omega5(snr.gamma_lin))
+    return _at(snr, ("ber5",))["ber5"]
 
 
 def ber6(snr: SnrPoint) -> float:
     """Variable-weight mean omega6 l2 + (1 - omega6) u2."""
-    bs = bound_set(snr)
-    return weighted_mean(bs.l2, bs.u2, omega6(snr.gamma_lin))
+    return _at(snr, ("ber6",))["ber6"]
 
 
 def ber7(snr: SnrPoint) -> float:
     """Variable-weight mean omega7 l2 + (1 - omega7) u3."""
-    bs = bound_set(snr)
-    return weighted_mean(bs.l2, bs.u3, omega7(snr.gamma_lin))
+    return _at(snr, ("ber7",))["ber7"]
 
 
 def relative_error(approx: float, exact: float) -> float:
@@ -174,21 +211,4 @@ def relative_error(approx: float, exact: float) -> float:
 
 def approx_set(snr: SnrPoint) -> ApproxSet:
     """All seven approximations and eps5..eps7 from one consistent evaluation."""
-    bs = bound_set(snr)
-    exact = exact_ber(snr)
-    g = snr.gamma_lin
-    b5 = weighted_mean(bs.l1, bs.u1, omega5(g))
-    b6 = weighted_mean(bs.l2, bs.u2, omega6(g))
-    b7 = weighted_mean(bs.l2, bs.u3, omega7(g))
-    return ApproxSet(
-        ber1=ber1(snr),
-        ber2=ber2(snr),
-        ber3=ber3(snr),
-        ber4=ber4(snr),
-        ber5=b5,
-        ber6=b6,
-        ber7=b7,
-        eps5=relative_error(b5, exact),
-        eps6=relative_error(b6, exact),
-        eps7=relative_error(b7, exact),
-    )
+    return ApproxSet(**_at(snr, tuple(f.name for f in fields(ApproxSet))))

@@ -20,109 +20,49 @@ notation. Exit status: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import approx, bounds, montecarlo, specfun
 
-_SWEEP_COLUMNS = (
-    "exact",
-    "l1",
-    "l2",
-    "u1",
-    "u2",
-    "u3",
-    "ber1",
-    "ber2",
-    "ber3",
-    "ber4",
-    "ber5",
-    "ber6",
-    "ber7",
-    "eps5",
-    "eps6",
-    "eps7",
-    "w5",
-    "w6",
-    "w7",
-)
-_WEIGHT_COLUMNS = {"w5": approx.omega5, "w6": approx.omega6, "w7": approx.omega7}
 _MAX_GRID_POINTS = 10**7
 
 # Guard for the mc subcommand: vanishingly small linear SNR (e.g. -300 dB)
 # is rejected rather than simulated.
 _MC_GAMMA_FLOOR = 1e-12
 
+# table number -> (CSV header, columns evaluated on the linear SNR grid 1..12)
+_TABLES = {
+    1: ("gamma_db,ber,ber1,ber2,ber3", ("exact", "ber1", "ber2", "ber3")),
+    2: ("gamma_db,ber4,ber5,ber6,ber7", ("ber4", "ber5", "ber6", "ber7")),
+    3: ("gamma_db,eps5,eps6,eps7", ("eps5", "eps6", "eps7")),
+}
 
-def _fmt(x: float) -> str:
-    return f"{x:.5e}"
+# Value cells: 6 significant digits in lowercase scientific notation.
+_CELL = "%.5e"
 
 
 def _fmt_gamma(x: float) -> str:
     return f"{x:.6g}"
 
 
-class _Row:
-    """Lazy per-grid-point evaluation shared across requested columns."""
-
-    def __init__(self, gamma_lin: float):
-        self.gamma_lin = gamma_lin
-        self._snr = None
-        self._bounds = None
-        self._exact = None
-
-    def snr(self) -> bounds.SnrPoint:
-        if self._snr is None:
-            self._snr = bounds.SnrPoint.from_linear(self.gamma_lin)
-        return self._snr
-
-    def bound_set(self) -> bounds.BoundSet:
-        if self._bounds is None:
-            self._bounds = bounds.bound_set(self.snr())
-        return self._bounds
-
-    def exact(self) -> float:
-        if self._exact is None:
-            self._exact = bounds.exact_ber(self.snr())
-        return self._exact
-
-    def value(self, column: str) -> float:
-        if column in _WEIGHT_COLUMNS:
-            return _WEIGHT_COLUMNS[column](self.gamma_lin)
-        if column == "exact":
-            return self.exact()
-        if column in ("l1", "l2", "u1", "u2", "u3"):
-            return getattr(self.bound_set(), column)
-        if column.startswith("ber"):
-            return getattr(approx, column)(self.snr())
-        if column.startswith("eps"):
-            approximation = getattr(approx, "ber" + column[3:])(self.snr())
-            return approx.relative_error(approximation, self.exact())
-        raise ValueError(f"unknown column {column!r}")
+def _csv(header: str, labels: list[str], gamma_lin, columns) -> str:
+    """One CSV row per SNR: its label, then the columns from one kernel call."""
+    values = approx.evaluate(gamma_lin, columns)
+    row = ",".join(["%s"] + [_CELL] * len(columns))
+    lines = [header] + [row % cells for cells in zip(labels, *(values[c].tolist() for c in columns))]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_table(which: int) -> str:
     """Reference table CSV over linear SNR 1..12."""
-    lines = []
-    if which == 1:
-        lines.append("gamma_db,ber,ber1,ber2,ber3")
-    elif which == 2:
-        lines.append("gamma_db,ber4,ber5,ber6,ber7")
-    else:
-        lines.append("gamma_db,eps5,eps6,eps7")
-    for k in range(1, 13):
-        snr = bounds.SnrPoint.from_linear(float(k))
-        aset = approx.approx_set(snr)
-        if which == 1:
-            vals = [bounds.exact_ber(snr), aset.ber1, aset.ber2, aset.ber3]
-        elif which == 2:
-            vals = [aset.ber4, aset.ber5, aset.ber6, aset.ber7]
-        else:
-            vals = [aset.eps5, aset.eps6, aset.eps7]
-        lines.append(",".join([str(k)] + [_fmt(v) for v in vals]))
-    return "\n".join(lines) + "\n"
+    header, columns = _TABLES[which]
+    return _csv(header, [str(k) for k in range(1, 13)], np.arange(1.0, 13.0), columns)
 
 
 def cmd_sweep(start: float, stop: float, step: float, scale: str, columns: list[str]) -> str:
@@ -138,16 +78,14 @@ def cmd_sweep(start: float, stop: float, step: float, scale: str, columns: list[
         raise ValueError("grid would exceed the 1e7-point guard")
     count = int(math.floor(span + 1e-9)) + 1
 
-    weights_only = all(c in _WEIGHT_COLUMNS for c in columns)
-    lines = [",".join(["gamma_db" if scale == "db" else "gamma_lin"] + columns)]
-    for i in range(count):
-        grid_value = start + i * step
-        gamma_lin = 10.0 ** (grid_value / 10.0) if scale == "db" else grid_value
-        if gamma_lin <= 0.0 and not (weights_only and gamma_lin == 0.0 and "w5" not in columns):
-            raise ValueError(f"grid contains gamma = {gamma_lin:g}, not valid for requested columns")
-        row = _Row(gamma_lin)
-        lines.append(",".join([_fmt_gamma(grid_value)] + [_fmt(row.value(c)) for c in columns]))
-    return "\n".join(lines) + "\n"
+    grid = [start + i * step for i in range(count)]
+    gamma = [bounds.db_to_linear(x) for x in grid] if scale == "db" else grid
+    zero_ok = all(c in ("w6", "w7") for c in columns)
+    for g in gamma:
+        if g <= 0.0 and not (zero_ok and g == 0.0):
+            raise ValueError(f"grid contains gamma = {g:g}, not valid for requested columns")
+    header = ",".join(["gamma_db" if scale == "db" else "gamma_lin"] + columns)
+    return _csv(header, [_fmt_gamma(x) for x in grid], np.array(gamma), columns)
 
 
 def cmd_mc(snr_db: float, symbols: int, seed: int) -> str:
@@ -160,9 +98,9 @@ def cmd_mc(snr_db: float, symbols: int, seed: int) -> str:
     inside = int(abs(result.ber_estimate - exact) <= result.ci_half_width)
     fields = [
         _fmt_gamma(snr_db),
-        _fmt(result.ber_estimate),
-        _fmt(result.ci_half_width),
-        _fmt(exact),
+        _CELL % result.ber_estimate,
+        _CELL % result.ci_half_width,
+        _CELL % exact,
         str(inside),
     ]
     return "gamma_db,ber_mc,ci_half_width,ber_exact,inside_ci\n" + ",".join(fields) + "\n"
@@ -188,15 +126,15 @@ def _parse_columns(text: str) -> list[str]:
     columns = [c.strip() for c in text.split(",") if c.strip()]
     if not columns:
         raise argparse.ArgumentTypeError("column list must not be empty")
-    unknown = [c for c in columns if c not in _SWEEP_COLUMNS]
+    unknown = [c for c in columns if c not in approx.COLUMNS]
     if unknown:
         raise argparse.ArgumentTypeError(
-            f"unknown columns {unknown!r}; valid: {', '.join(_SWEEP_COLUMNS)}"
+            f"unknown columns {unknown!r}; valid: {', '.join(approx.COLUMNS)}"
         )
-    deduped = list(dict.fromkeys(columns))
-    return deduped
+    return list(dict.fromkeys(columns))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dqpsk-ber",
@@ -224,7 +162,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _renameat2():
+    # The C library's renameat2, or None where it has none (e.g. not Linux).
+    try:
+        import ctypes
+
+        return ctypes.CDLL(None, use_errno=True).renameat2
+    except (ImportError, OSError, TypeError, AttributeError):
+        return None
+
+
+def _exchange(tmp_path: str, out_path: str) -> bool:
+    """Swap two existing names in one step (renameat2, AT_FDCWD = -100,
+    RENAME_EXCHANGE = 2); False, with nothing changed, where unsupported."""
+    fn = _renameat2()
+    return fn is not None and fn(-100, os.fsencode(tmp_path), -100, os.fsencode(out_path), 2) == 0
+
+
 def _emit(text: str, out_path: str | None) -> None:
+    """Write `text` to stdout, or to `out_path` atomically for readers (no fsync).
+
+    An existing file is swapped out rather than renamed over: on ext4 a
+    rename over a file starts a disk write of the new one (auto_da_alloc)
+    on every call, whose time follows the disk's load."""
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -233,7 +194,10 @@ def _emit(text: str, out_path: str | None) -> None:
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
-        os.replace(tmp_path, out_path)
+        if os.path.isfile(out_path) and _exchange(tmp_path, out_path):
+            os.unlink(tmp_path)  # now the old file
+        else:
+            os.replace(tmp_path, out_path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
@@ -253,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             text = cmd_constants()
         _emit(text, args.out)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

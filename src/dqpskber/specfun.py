@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from scipy.integrate import quad
-
 # Series/asymptotic crossover for I0 and I1. The power series is
 # near-exact on the whole left side; the truncated asymptotic expansion
 # first reaches ~1e-16 relative error at x = 18 (measured against a
@@ -246,6 +244,7 @@ def marcum_q_quad(a: float, b: float) -> float:
     never overflows; the integral is truncated at b + a + 12 where the
     Gaussian factor bounds the remainder below 1e-15 of the value.
     """
+    from scipy.integrate import quad  # deferred: only this cross-check route needs it
     a, b = _check_marcum_args(a, b)
 
     def integrand(x: float) -> float:
@@ -256,11 +255,11 @@ def marcum_q_quad(a: float, b: float) -> float:
 
 
 def marcum_q(a: float, b: float) -> float:
-    """Reference Marcum Q value; relative error <= 1e-10.
+    """Reference Marcum Q value by the quadrature route; relative error <= 1e-10.
 
-    The adaptive-quadrature route is the exported value; the series route
-    is kept as an independent cross-check (the two agree to 1e-9 relative
-    over the supported SNR range, enforced by the test suite).
+    The exact BER in `bounds` does not use it; this route and the series
+    route are independent cross-checks of that and of each other (they
+    agree to 1e-9 relative over the supported SNR range, per the tests).
     """
     return marcum_q_quad(a, b)
 

@@ -37,9 +37,16 @@ def ref_erfc(x: float) -> mp.mpf:
 
 
 def ref_marcum(a: float, b: float) -> mp.mpf:
+    # mp.quad stops on an absolute error estimate, so the integrand is
+    # scaled by exp(c) to be O(1) at its largest point on [b, inf); left
+    # unscaled it is ~1e-26 at 20 dB and the result keeps two digits. The
+    # interval is split at b and at the peak of the Gaussian factor
+    # exp(-(x - a)^2 / 2), where the integrand turns.
     a, b = mp.mpf(a), mp.mpf(b)
-    f = lambda x: x * mp.exp(-(x * x + a * a) / 2) * mp.besseli(0, a * x)
-    return mp.quad(f, [b, b + a + 40])
+    peak = max(a, b)
+    c = (peak - a) ** 2 / 2
+    f = lambda x: x * mp.exp(c - (x - a) ** 2 / 2 - a * x) * mp.besseli(0, a * x)
+    return mp.exp(-c) * mp.quad(f, sorted({b, peak, b + a + 40}))
 
 
 def ref_channel(gamma_lin: float) -> tuple[mp.mpf, mp.mpf]:

@@ -256,3 +256,43 @@ class TestApproxSet:
             if prev is not None:
                 assert all(v < p for v, p in zip(vals, prev)), g
             prev = vals
+
+
+class TestEvaluate:
+    def test_array_call_matches_scalar_functions(self):
+        # 5000 SNRs span two row blocks of the trapezoid sum; the exact BER's
+        # node count follows the largest SNR of the call, so the array and
+        # the one-point values agree to rounding, not bit for bit
+        gs = np.logspace(-2.0, math.log10(12.0), 5000)
+        columns = approx.evaluate(gs, approx.COLUMNS)
+        for i in range(0, gs.size, 499):
+            snr = _snr(gs[i])
+            scalar = dict(
+                vars(approx.approx_set(snr)),
+                **vars(bounds.bound_set(snr)),
+                exact=bounds.exact_ber(snr),
+                w5=approx.omega5(gs[i]),
+                w6=approx.omega6(gs[i]),
+                w7=approx.omega7(gs[i]),
+            )
+            assert sorted(scalar) == sorted(approx.COLUMNS)
+            for name, value in scalar.items():
+                # eps is a difference of two BERs: its error is absolute
+                tol = 1e-15 if name.startswith("eps") else 0.0
+                assert columns[name][i] == pytest.approx(value, rel=1e-14, abs=tol), (name, gs[i])
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="unknown columns"):
+            approx.evaluate(np.array([1.0]), ["exact", "bogus"])
+        with pytest.raises(ValueError, match="gamma_lin must be positive and finite"):
+            approx.evaluate(np.array([1.0, 0.0]), ["exact"])
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            approx.evaluate(np.array([1.0, 0.0]), ["w5"])
+        assert approx.evaluate(np.array([0.0]), ["w6", "w7"])["w6"][0] == 0.75
+
+    def test_weights_accept_arrays(self):
+        gs = np.array([0.5, 1.0, 4.0, 5.0, 8.0, 20.0])
+        for omega in (approx.omega5, approx.omega6, approx.omega7):
+            values = omega(gs)
+            assert isinstance(values, np.ndarray)
+            assert values.tolist() == [omega(float(g)) for g in gs]

@@ -42,6 +42,10 @@ class TestSnrPoint:
         with pytest.raises(ValueError):
             bounds.SnrPoint(gamma_db=3.0, gamma_lin=1.0)
 
+    def test_rejects_db_beyond_double_range(self):
+        with pytest.raises(ValueError, match="overflows the linear SNR"):
+            bounds.SnrPoint.from_db(4000.0)
+
 
 class TestChannelParams:
     def test_unit_snr_values(self):
@@ -81,6 +85,19 @@ class TestExactBer:
         for g in np.logspace(-3, 1.4, 20):
             v = bounds.exact_ber(bounds.SnrPoint.from_linear(g))
             assert oracles.rel_err(v, oracles.ref_exact_ber(g)) <= 1e-9
+
+    def test_against_reference_db_grid_to_thirty_db(self):
+        # rounding the exponent g (2 - sqrt 2) costs up to ~6e-14 at 30 dB;
+        # the Marcum quadrature route it replaced reached 1.3e-13 here
+        for db in np.linspace(-10.0, 30.5, 28):
+            snr = bounds.SnrPoint.from_db(db)
+            ref = oracles.ref_exact_ber(snr.gamma_lin)
+            assert oracles.rel_err(bounds.exact_ber(snr), ref) <= 1e-13, db
+
+    def test_zero_not_negative_beyond_double_range(self):
+        assert bounds.exact_ber(bounds.SnrPoint.from_db(31.0)) > 0.0
+        for db in (32.0, 40.0, 300.0):
+            assert bounds.exact_ber(bounds.SnrPoint.from_db(db)) == 0.0
 
     def test_strictly_decreasing(self):
         gs = np.logspace(-4, 1.4, 120)
@@ -133,15 +150,6 @@ class TestBoundValues:
         assert bs.u1 == pytest.approx(U1_G1, rel=1e-12)
         assert bs.u2 == pytest.approx(U2_G1, rel=1e-12)
         assert bs.u3 == pytest.approx(U3_G1, rel=1e-12)
-
-    def test_single_bound_accessors_match_set(self):
-        snr = bounds.SnrPoint.from_linear(2.5)
-        bs = bounds.bound_set(snr)
-        assert bounds.bound_l1(snr) == bs.l1
-        assert bounds.bound_l2(snr) == bs.l2
-        assert bounds.bound_u1(snr) == bs.u1
-        assert bounds.bound_u2(snr) == bs.u2
-        assert bounds.bound_u3(snr) == bs.u3
 
     def test_reference_midpoints(self):
         snr = bounds.SnrPoint.from_linear(1.0)
@@ -215,4 +223,4 @@ class TestBoundValues:
         e = math.erfc((b - a) / math.sqrt(2.0))
         half = 0.5 * math.exp(-0.5 * (a * a + b * b))
         direct_l1 = i0 * (math.sqrt(0.5 * math.pi) * b / math.exp(a * b) * e - half)
-        assert bounds.bound_l1(bounds.SnrPoint.from_linear(1.0)) == pytest.approx(direct_l1, rel=1e-12)
+        assert bounds.bound_set(bounds.SnrPoint.from_linear(1.0)).l1 == pytest.approx(direct_l1, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +154,46 @@ class TestSweep:
         assert code == 1
         assert "start" in err
 
+    def test_first_offending_row_wins_across_columns(self, capsys):
+        # row 0 (gamma 1e-13) is outside ber4's domain and the rows beyond
+        # ~1270 give exact = 0, so eps5 is undefined there: the error must
+        # name row 0 whatever the column order
+        code, _, err = _run(
+            capsys,
+            "sweep", "--start", "1e-13", "--stop", "2000", "--step", "100",
+            "--scale", "linear", "--cols", "eps5,ber4",
+        )
+        assert code == 1
+        assert err == "error: gamma too small for ber4 (diverges as gamma -> 0)\n"
+
+    def test_eps_beyond_double_range_is_domain_error(self, capsys):
+        code, _, err = _run(
+            capsys,
+            "sweep", "--start", "30", "--stop", "35", "--step", "5",
+            "--scale", "db", "--cols", "exact,eps5",
+        )
+        assert code == 1
+        assert err == "error: exact must be positive\n"
+
+    def test_db_grid_overflowing_linear_snr_is_domain_error(self, capsys):
+        code, out, err = _run(
+            capsys,
+            "sweep", "--start", "3100", "--stop", "3101", "--step", "1",
+            "--scale", "db", "--cols", "w6",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: gamma_db = 3100 overflows the linear SNR\n"
+
+    def test_linear_grid_overflowing_channel_params_is_domain_error(self, capsys):
+        code, out, err = _run(
+            capsys,
+            "sweep", "--start", "1", "--stop", "1e308", "--step", "1e307",
+            "--scale", "linear", "--cols", "l1",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: gamma_lin = 6e+307 overflows b")
+        assert err.count("\n") == 1
+
     def test_grid_size_guard(self, capsys):
         code, _, err = _run(
             capsys,
@@ -187,6 +228,11 @@ class TestMc:
         assert code == 1
         assert "num_symbols" in err
 
+    def test_rejects_snr_beyond_double_range(self, capsys):
+        code, out, err = _run(capsys, "mc", "--snr-db", "4000", "--symbols", "100000", "--seed", "7")
+        assert (code, out) == (1, "")
+        assert err == "error: gamma_db = 4000 overflows the linear SNR\n"
+
 
 class TestConstants:
     def test_values_and_residual(self, capsys):
@@ -217,3 +263,101 @@ class TestOutFile:
         assert target.read_text() == stdout_text
         leftovers = [p for p in tmp_path.iterdir() if p.name != "table2.csv"]
         assert leftovers == []
+
+    def test_missing_directory_is_domain_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = _run(capsys, "--out", str(target), "table", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.parent.exists()
+
+    def test_overwrite_replaces_whole_file(self, tmp_path, capsys):
+        _, stdout_text, _ = _run(capsys, "table", "1")
+        target = tmp_path / "t.csv"
+        target.write_text("old\n" * 10_000)
+        for _ in range(2):
+            code = cli.main(["--out", str(target), "table", "1"])
+            assert code == 0
+            assert target.read_text() == stdout_text
+        capsys.readouterr()
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_overwrite_replaces_symlink_not_its_target(self, tmp_path, capsys):
+        _, stdout_text, _ = _run(capsys, "table", "1")
+        linked = tmp_path / "linked.csv"
+        linked.write_text("kept\n")
+        target = tmp_path / "t.csv"
+        target.symlink_to(linked)
+        assert cli.main(["--out", str(target), "table", "1"]) == 0
+        capsys.readouterr()
+        assert not target.is_symlink() and target.read_text() == stdout_text
+        assert linked.read_text() == "kept\n"
+
+    def test_directory_target_is_domain_error(self, tmp_path, capsys):
+        target = tmp_path / "d"
+        target.mkdir()
+        (target / "inside").write_text("kept\n")
+        code, out, err = _run(capsys, "--out", str(target), "table", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (target / "inside").read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+    @pytest.mark.skipif(cli._renameat2() is None, reason="no renameat2 in this C library")
+    def test_exchange_swaps_two_files(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.write_text("1")
+        second.write_text("2")
+        if not cli._exchange(str(first), str(second)):
+            pytest.skip("file system without RENAME_EXCHANGE")
+        assert (first.read_text(), second.read_text()) == ("2", "1")
+        assert cli._exchange(str(first), str(tmp_path / "missing")) is False
+        assert (first.read_text(), second.read_text()) == ("2", "1")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ALL_DB_SWEEP = (
+    "sweep", "--start", "-10", "--stop", "30.5", "--step", "0.5", "--scale", "db",
+    "--cols", "exact,l1,l2,u1,u2,u3,ber1,ber2,ber3,ber4,ber5,ber6,ber7,eps5,eps6,eps7,w5,w6,w7",
+)
+
+
+class TestGolden:
+    """CSV bytes against files written by the per-point scalar evaluation
+    this package used before its array kernel."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("table1.csv", ("table", "1")),
+            ("table2.csv", ("table", "2")),
+            ("table3.csv", ("table", "3")),
+            (
+                "sweep_closed_linear.csv",
+                ("sweep", "--start", "0.5", "--stop", "25", "--step", "0.5", "--scale", "linear",
+                 "--cols", "l1,l2,u1,u2,u3,ber1,ber2,ber3,ber4,w5,w6,w7"),
+            ),
+        ],
+    )
+    def test_byte_identical(self, capsys, name, argv):
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / name).read_text()
+
+    def test_all_columns_db_sweep(self, capsys):
+        # eps = approx/exact - 1 at high SNR is a difference of two BERs that
+        # each carry ~1e-13 relative rounding from their exponents, so where
+        # |eps| < 1e-5 its 6th digit is not reproducible across evaluation
+        # routes; every other cell is.
+        code, out, _ = _run(capsys, *ALL_DB_SWEEP)
+        assert code == 0
+        expected = (GOLDEN / "sweep_all_db.csv").read_text().splitlines()
+        lines = out.splitlines()
+        assert lines[0] == expected[0] and len(lines) == len(expected)
+        columns = lines[0].split(",")
+        for line, want in zip(lines[1:], expected[1:]):
+            for column, got, ref in zip(columns, line.split(","), want.split(",")):
+                if got == ref:
+                    continue
+                assert column in ("eps5", "eps6", "eps7") and abs(float(ref)) < 1e-5, (column, got, ref)
+                assert abs(float(got) - float(ref)) <= 2e-12, (column, got, ref)
