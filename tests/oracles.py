@@ -7,6 +7,8 @@ shipped double-precision kernels against these.
 
 from __future__ import annotations
 
+import functools
+
 import mpmath as mp
 
 mp.mp.dps = 30
@@ -57,6 +59,31 @@ def ref_channel(gamma_lin: float) -> tuple[mp.mpf, mp.mpf]:
 def ref_exact_ber(gamma_lin: float) -> mp.mpf:
     a, b = ref_channel(gamma_lin)
     return ref_marcum(a, b) - mp.besseli(0, a * b) * mp.exp(-(a * a + b * b) / 2) / 2
+
+
+@functools.cache
+def ref_lambda0() -> mp.mpf:
+    # lambda0 = e^rho0 (I0(rho0)/I1(rho0) - 1) at the root of (x+1) I1(x) = x I0(x)
+    rho0 = mp.findroot(lambda x: (x + 1) * mp.besseli(1, x) - x * mp.besseli(0, x), 1.5)
+    return mp.exp(rho0) * (mp.besseli(0, rho0) / mp.besseli(1, rho0) - 1)
+
+
+def ref_bounds(gamma_lin: float) -> dict[str, mp.mpf]:
+    # The five bounds as the paper writes them, with unscaled exponentials.
+    a, b = ref_channel(gamma_lin)
+    ab = a * b
+    i0 = mp.besseli(0, ab)
+    e = mp.erfc((b - a) / _SQRT2)
+    big_e = e - mp.erfc((b + a) / _SQRT2)
+    c = mp.sqrt(mp.pi / 2)
+    half = mp.exp(-(a * a + b * b) / 2) / 2
+    return {
+        "l1": i0 * (c * b * e / mp.exp(ab) - half),
+        "l2": i0 * (c * b * big_e / (mp.exp(ab) - mp.exp(-ab)) - half),
+        "u1": i0 * (c * a * e / mp.exp(ab) + half),
+        "u2": i0 * (c * a * big_e / (mp.exp(ab) + mp.exp(-ab)) + half),
+        "u3": i0 * (c * a * e / (mp.exp(ab) + ref_lambda0()) + half),
+    }
 
 
 def rel_err(value: float, reference: mp.mpf) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from dqpskber import approx, bounds
 
+import oracles
 from reference_tables import TABLE2, TABLE3
 
 # frozen 30-digit oracle values
@@ -280,6 +281,21 @@ class TestEvaluate:
                 # eps is a difference of two BERs: its error is absolute
                 tol = 1e-15 if name.startswith("eps") else 0.0
                 assert columns[name][i] == pytest.approx(value, rel=1e-14, abs=tol), (name, gs[i])
+
+    def test_eps_against_oracle_at_high_snr(self):
+        # eps subtracts two BERs of size exp(-g (2 - sqrt 2)); each carries
+        # ~1e-13 relative rounding at 30 dB unless both take that factor
+        # from the same expression
+        gs = 10.0 ** (np.arange(18.0, 30.51, 0.5) / 10.0)
+        columns = approx.evaluate(gs, ["eps5", "eps6", "eps7", "w5", "w6", "w7"])
+        pairs = {"5": ("l1", "u1"), "6": ("l2", "u2"), "7": ("l2", "u3")}
+        for i, g in enumerate(gs):
+            exact = oracles.ref_exact_ber(g)
+            ref = oracles.ref_bounds(g)
+            for k, (lower, upper) in pairs.items():
+                w = oracles.mp.mpf(columns["w" + k][i])
+                eps = (w * ref[lower] + (1 - w) * ref[upper] - exact) / exact
+                assert abs(columns["eps" + k][i] - float(eps)) <= 1e-14, (k, g)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="unknown columns"):

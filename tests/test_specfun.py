@@ -76,6 +76,17 @@ class TestBesselI0Scaled:
     def test_no_overflow_at_huge_argument(self):
         assert math.isfinite(specfun.bessel_i0_scaled(1e308))
 
+    def test_against_reference_on_grid(self):
+        # up to ab = g sqrt(2) at 40 dB
+        for x in np.logspace(-8, np.log10(2e4), 60):
+            assert oracles.rel_err(specfun.bessel_i0_scaled(x), oracles.ref_i0_scaled(x)) <= 1e-13
+
+
+class TestBesselI1Scaled:
+    def test_against_reference_on_grid(self):
+        for x in np.logspace(-8, np.log10(2e4), 60):
+            assert oracles.rel_err(specfun.bessel_i1_scaled(x), oracles.ref_i1_scaled(x)) <= 1e-13
+
 
 class TestBesselI1:
     def test_at_zero(self):
@@ -206,6 +217,21 @@ class TestMarcumQ:
             q_quad = specfun.marcum_q_quad(a, b)
             q_series = specfun.marcum_q_series(a, b)
             assert q_series == pytest.approx(q_quad, rel=1e-9)
+
+    def test_series_for_a_at_least_b(self):
+        # (5, 0.1), (2, 0.01) and (30, 1): a/b so large that (a/b)^k overflows
+        # where exp(-ab) I_k(ab) underflows, if the series is summed directly
+        cases = ((3.0, 1.0), (1.0, 0.9), (5.0, 4.9), (2.0, 2.0), (20.0, 10.0),
+                 (5.0, 0.1), (2.0, 0.01), (30.0, 1.0))
+        for a, b in cases:
+            q = specfun.marcum_q_series(a, b)
+            assert q <= 1.0, (a, b)
+            assert oracles.rel_err(q, oracles.ref_marcum(a, b)) <= 1e-12, (a, b)
+
+    def test_series_extreme_ratio(self):
+        # a/b underflows to 0 and the Gaussian factor to 0: the value is 0 (or 1 swapped)
+        assert specfun.marcum_q_series(1e-300, 1e30) == 0.0
+        assert specfun.marcum_q_series(1e30, 1e-300) == 1.0
 
     def test_monotone_in_each_argument(self):
         # decreasing in b at fixed a, increasing in a at fixed b (b >= a > 0)
