@@ -8,12 +8,13 @@ Gaussian noise with per-dimension variance 1/(4 gamma_lin) (two bits per
 symbol, so Es/N0 = 2 gamma); detect each symbol from the phase quadrant
 of r_k conj(r_{k-1}); inverse-Gray-map and count bit errors.
 
-Reproducibility: all randomness comes from numpy's seeded PCG64
-generator in a fixed draw order -- reference-symbol noise first, then
-per fixed-size chunk: one block of random bytes expanded MSB-first into
-2n bits, then 2n standard normals (first n in-phase, last n
-quadrature). A given McConfig therefore always yields a bit-identical
-McResult.
+Draw order (a contract, pinned by tests/test_montecarlo.py): all
+randomness comes from numpy's PCG64 generator seeded with McConfig.seed.
+It draws the reference symbol's two noise normals first (in-phase, then
+quadrature), then per chunk of n <= 2**21 symbols: (2n + 7) // 8 random
+bytes expanded MSB-first into 2n bits (dibit k is bits 2k, 2k+1), n
+in-phase normals and n quadrature normals. A given McConfig therefore
+always yields a bit-identical McResult.
 """
 
 from __future__ import annotations
@@ -27,16 +28,6 @@ from scipy.special import ndtri
 from .bounds import SnrPoint
 
 _CHUNK = 1 << 21
-
-# dibit value (2 b0 + b1) <-> phase-increment index m, increment = (2m+1) pi/4.
-# The permutation [0, 1, 3, 2] is Gray-consistent and its own inverse.
-_GRAY_MAP = np.array([0, 1, 3, 2], dtype=np.uint8)
-_DIBIT_OF_M = np.array([0, 1, 3, 2], dtype=np.uint8)
-# flat 4x4 table: bit errors between true index (row) and detected index (col)
-_BIT_ERRORS = np.array(
-    [int(a ^ b).bit_count() for a in _DIBIT_OF_M for b in _DIBIT_OF_M],
-    dtype=np.uint8,
-)
 
 _ANGLES = np.arange(8) * (math.pi / 4.0)
 _COS = np.cos(_ANGLES)
@@ -53,6 +44,13 @@ class McConfig:
     confidence: float = 0.99
 
     def __post_init__(self) -> None:
+        import operator
+
+        for name in ("num_symbols", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.num_symbols < 1000:
             raise ValueError("num_symbols must be >= 1000")
         if not 0.0 < self.confidence < 1.0:
@@ -71,19 +69,6 @@ class McResult:
     ci_half_width: float
 
 
-class _Buffers:
-    # Chunk-sized scratch arrays, allocated once per simulate() call.
-    def __init__(self, n: int):
-        self.noise = np.empty(2 * n)
-        self.sx = np.empty(n)
-        self.sy = np.empty(n)
-        self.tmp = np.empty(n)
-        self.re = np.empty(n)
-        self.im = np.empty(n)
-        self.flag_re = np.empty(n, dtype=bool)
-        self.flag_im = np.empty(n, dtype=bool)
-
-
 def simulate(config: McConfig) -> McResult:
     """Run the DQPSK transmission and return the empirical error rate.
 
@@ -94,65 +79,42 @@ def simulate(config: McConfig) -> McResult:
     sigma = math.sqrt(1.0 / (4.0 * gamma))
     rng = np.random.default_rng(config.seed)
 
-    ref_noise = rng.standard_normal(2)
-    prev_x = 1.0 + sigma * ref_noise[0]
-    prev_y = sigma * ref_noise[1]
-
-    buf = _Buffers(min(_CHUNK, config.num_symbols))
-    phase_acc = 0
+    prev = sigma * rng.standard_normal(2) + (1.0, 0.0)
+    phase = 0
     bit_errors = 0
-    remaining = config.num_symbols
-    while remaining > 0:
-        n = min(_CHUNK, remaining)
+    for start in range(0, config.num_symbols, _CHUNK):
+        n = min(_CHUNK, config.num_symbols - start)
+        raw = np.frombuffer(rng.bytes((2 * n + 7) // 8), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=2 * n)
+        b0, b1 = bits[0::2], bits[1::2]
 
-        raw = rng.bytes((2 * n + 7) // 8)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=2 * n)
-        noise = buf.noise[: 2 * n]
-        rng.standard_normal(out=noise)
-
-        m = _GRAY_MAP[(bits[0::2] << 1) | bits[1::2]]
-        steps = np.cumsum(2 * m.astype(np.int32) + 1)
-        t = steps
-        t += phase_acc
-        phase_acc = int(t[-1]) & 7
+        # Gray index m, phase increment (2m + 1) pi/4; uint8 wraps mod 256,
+        # a multiple of 8, so the running sum stays exact mod 8
+        m = 2 * b0 + (b0 ^ b1)
+        t = np.cumsum(2 * m + 1, dtype=np.uint8)
+        t += phase
         t &= 7
+        phase = int(t[-1])
 
-        # received I/Q: unit carrier from the phase table plus scaled noise
-        sx, sy = buf.sx[:n], buf.sy[:n]
-        np.take(_COS, t, out=sx)
-        np.take(_SIN, t, out=sy)
-        rx, ry = noise[:n], noise[n:]
-        np.multiply(rx, sigma, out=rx)
-        np.multiply(ry, sigma, out=ry)
-        rx += sx
-        ry += sy
+        # column 0 is the previous chunk's last symbol
+        r = np.empty((2, n + 1))
+        r[:, 0] = prev
+        x, y = r
+        rng.standard_normal(out=x[1:])
+        rng.standard_normal(out=y[1:])
+        x[1:] *= sigma
+        x[1:] += _COS[t]
+        y[1:] *= sigma
+        y[1:] += _SIN[t]
+        prev = r[:, -1].copy()  # a view would keep the whole chunk alive
 
-        # d = r_k conj(r_{k-1}); first element pairs with the carry symbol
-        re, im, tmp = buf.re[:n], buf.im[:n], buf.tmp[:n]
-        np.multiply(rx[1:], rx[:-1], out=re[1:])
-        np.multiply(ry[1:], ry[:-1], out=tmp[1:])
-        re[1:] += tmp[1:]
-        np.multiply(ry[1:], rx[:-1], out=im[1:])
-        np.multiply(rx[1:], ry[:-1], out=tmp[1:])
-        im[1:] -= tmp[1:]
-        re[0] = rx[0] * prev_x + ry[0] * prev_y
-        im[0] = ry[0] * prev_x - rx[0] * prev_y
-        prev_x = float(rx[-1])
-        prev_y = float(ry[-1])
-
-        # quadrant of the phase difference -> detected increment index
-        flag_re, flag_im = buf.flag_re[:n], buf.flag_im[:n]
-        np.less_equal(re, 0.0, out=flag_re)
-        np.less(im, 0.0, out=flag_im)
-        np.logical_xor(flag_re, flag_im, out=flag_re)
-        m_hat = flag_re.view(np.uint8)
-        m_hat += flag_im.view(np.uint8)
-        m_hat += flag_im.view(np.uint8)
-
-        np.left_shift(m, 2, out=m)
-        m += m_hat
-        bit_errors += int(np.take(_BIT_ERRORS, m).sum(dtype=np.int64))
-        remaining -= n
+        # r_k conj(r_{k-1}) in real arithmetic: a complex multiply may be
+        # fused (FMA) and move a decision across a quadrant edge
+        re = x[1:] * x[:-1] + y[1:] * y[:-1]
+        im = y[1:] * x[:-1] - x[1:] * y[:-1]
+        # inverse Gray map of the detected quadrant: b0 = (im < 0), b1 = (re <= 0)
+        bit_errors += int(np.count_nonzero(b0 != (im < 0)))
+        bit_errors += int(np.count_nonzero(b1 != (re <= 0)))
 
     bits_sent = 2 * config.num_symbols
     p_hat = bit_errors / bits_sent

@@ -323,8 +323,9 @@ ALL_DB_SWEEP = (
 
 
 class TestGolden:
-    """CSV bytes against files written by the per-point scalar evaluation
-    this package used before its array kernel."""
+    """CSV bytes against files written by earlier implementations (table
+    and sweep by the per-point scalar evaluation); mc_3db.csv also pins
+    the Monte-Carlo draw order."""
 
     @pytest.mark.parametrize(
         "name, argv",
@@ -337,6 +338,7 @@ class TestGolden:
                 ("sweep", "--start", "0.5", "--stop", "25", "--step", "0.5", "--scale", "linear",
                  "--cols", "l1,l2,u1,u2,u3,ber1,ber2,ber3,ber4,w5,w6,w7"),
             ),
+            ("mc_3db.csv", ("mc", "--snr-db", "3", "--symbols", "100000", "--seed", "42")),
         ],
     )
     def test_byte_identical(self, capsys, name, argv):

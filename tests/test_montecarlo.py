@@ -26,6 +26,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _config(seed=-1)
 
+    def test_integer_fields(self):
+        for kwargs in (dict(num_symbols=1e7), dict(num_symbols="100000"), dict(seed=1.5)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                _config(**kwargs)
+        numpy_ints = _config(num_symbols=np.int64(10**4), seed=np.int64(3))
+        assert numpy_ints == _config(num_symbols=10**4, seed=3)
+        assert type(numpy_ints.num_symbols) is int and type(numpy_ints.seed) is int
+        assert simulate(numpy_ints) == simulate(_config(num_symbols=10**4, seed=3))
+
     def test_snr_domain_error_comes_from_snrpoint(self):
         with pytest.raises(ValueError):
             SnrPoint.from_linear(-2.0)
@@ -43,9 +52,28 @@ class TestDeterminism:
         assert r1.bit_errors != r2.bit_errors
 
     def test_chunk_boundary_consistency(self):
-        # runs longer than the internal chunk still deterministic
-        big = _config(num_symbols=3 * 2**21 + 12345, seed=7)
-        assert simulate(big) == simulate(big)
+        # Pins the documented draw order across versions: one run inside a
+        # chunk, runs one symbol past a chunk, exactly four chunks, and a
+        # ragged last chunk (the chunk is 2**21 symbols).
+        pinned = [
+            ((3.0, 10**5, 42), McResult(0.072755, 14551, 200000, 0.0014959971093090497)),
+            (
+                (0.0, 3 * 2**21 + 12345, 7),
+                McResult(0.16391348648220336, 2066556, 12607602, 0.00026855533690913575),
+            ),
+            (
+                (3.0, 2**21 + 1, 9),
+                McResult(0.07190104870746197, 301575, 4194306, 0.00032490154541660153),
+            ),
+            (
+                (10.0, 4 * 2**21, 5),
+                McResult(0.0003350973129272461, 5622, 16777216, 1.1509854315238023e-05),
+            ),
+        ]
+        for (db, n, seed), expected in pinned:
+            r = simulate(_config(snr=SnrPoint.from_db(db), num_symbols=n, seed=seed))
+            assert r == expected, (db, n, seed)
+            assert type(r.bit_errors) is int and type(r.ber_estimate) is float
 
 
 class TestResultInvariants:
