@@ -3,23 +3,33 @@
 Transmit pipeline per run: draw 2N data bits; Gray-map each dibit to a
 phase increment in {pi/4, 3pi/4, 5pi/4, 7pi/4} (00 -> pi/4, 01 -> 3pi/4,
 11 -> 5pi/4, 10 -> 7pi/4); accumulate phase onto a unit-energy carrier
-whose first symbol is a known reference at phase 0; add circular complex
-Gaussian noise with per-dimension variance 1/(4 gamma_lin) (two bits per
-symbol, so Es/N0 = 2 gamma); detect each symbol from the phase quadrant
-of r_k conj(r_{k-1}); inverse-Gray-map and count bit errors.
+whose first symbol in each chunk is a known reference at phase 0; add
+circular complex Gaussian noise with per-dimension variance
+1/(4 gamma_lin) (two bits per symbol, so Es/N0 = 2 gamma); detect each
+symbol from the phase quadrant of r_k conj(r_{k-1}); inverse-Gray-map
+and count bit errors.
 
-Draw order (a contract, pinned by tests/test_montecarlo.py): all
-randomness comes from numpy's PCG64 generator seeded with McConfig.seed.
-It draws the reference symbol's two noise normals first (in-phase, then
-quadrature), then per chunk of n <= 2**21 symbols: (2n + 7) // 8 random
-bytes expanded MSB-first into 2n bits (dibit k is bits 2k, 2k+1), n
-in-phase normals and n quadrature normals. A given McConfig therefore
-always yields a bit-identical McResult.
+Draw order (a contract, pinned by tests/test_montecarlo.py): the run is
+cut into chunks of n <= 2**16 symbols, and chunk i draws from its own
+numpy PCG64 generator seeded with SeedSequence(McConfig.seed,
+spawn_key=(i,)), which is child i of SeedSequence(seed).spawn(...).
+Each chunk draws its own reference symbol's two noise normals first
+(in-phase, then quadrature; the reference sits at phase 0), then
+(2n + 7) // 8 random bytes expanded MSB-first into 2n bits (dibit k is
+bits 2k, 2k+1), n in-phase normals and n quadrature normals. Nothing is
+carried from one chunk to the next, so bits_sent is still 2N.
+
+simulate runs the chunks on a thread pool with one thread per CPU in
+the process's affinity mask (numpy's fills and large ufuncs release the
+GIL). Chunk results are summed as integers, so a given McConfig always
+yields a bit-identical McResult, however many CPUs run it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +37,7 @@ from scipy.special import ndtri
 
 from .bounds import SnrPoint
 
-_CHUNK = 1 << 21
+_CHUNK = 1 << 16
 
 _ANGLES = np.arange(8) * (math.pi / 4.0)
 _COS = np.cos(_ANGLES)
@@ -69,54 +79,65 @@ class McResult:
     ci_half_width: float
 
 
+def _workers() -> int:
+    """CPUs this process may run on; the CPU count where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS, Windows
+        return os.cpu_count() or 1
+
+
+def _chunk_errors(seed: int, index: int, n: int, sigma: float) -> int:
+    """Bit errors of chunk `index`: n data symbols after its own reference."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
+    ref = sigma * rng.standard_normal(2) + (1.0, 0.0)
+    raw = np.frombuffer(rng.bytes((2 * n + 7) // 8), dtype=np.uint8)
+    bits = np.unpackbits(raw, count=2 * n)
+    b0, b1 = bits[0::2], bits[1::2]
+
+    # Gray index m, phase increment (2m + 1) pi/4; uint8 wraps mod 256,
+    # a multiple of 8, so the running sum stays exact mod 8
+    m = 2 * b0 + (b0 ^ b1)
+    t = np.cumsum(2 * m + 1, dtype=np.uint8)
+    t &= 7
+
+    # column 0 is the reference symbol
+    r = np.empty((2, n + 1))
+    r[:, 0] = ref
+    x, y = r
+    rng.standard_normal(out=x[1:])
+    rng.standard_normal(out=y[1:])
+    x[1:] *= sigma
+    x[1:] += _COS[t]
+    y[1:] *= sigma
+    y[1:] += _SIN[t]
+
+    # r_k conj(r_{k-1}) in real arithmetic: a complex multiply may be
+    # fused (FMA) and move a decision across a quadrant edge
+    re = x[1:] * x[:-1] + y[1:] * y[:-1]
+    im = y[1:] * x[:-1] - x[1:] * y[:-1]
+    # inverse Gray map of the detected quadrant: b0 = (im < 0), b1 = (re <= 0)
+    return int(np.count_nonzero(b0 != (im < 0))) + int(np.count_nonzero(b1 != (re <= 0)))
+
+
 def simulate(config: McConfig) -> McResult:
     """Run the DQPSK transmission and return the empirical error rate.
 
-    Deterministic for a fixed config; the first symbol is a data-free
-    phase reference, so bits_sent == 2 * num_symbols.
+    Deterministic for a fixed config, whatever the CPU count; each chunk
+    starts from a data-free phase reference, so bits_sent == 2 * num_symbols.
     """
     gamma = config.snr.gamma_lin
     sigma = math.sqrt(1.0 / (4.0 * gamma))
-    rng = np.random.default_rng(config.seed)
+    num = config.num_symbols
+    chunks = -(-num // _CHUNK)
 
-    prev = sigma * rng.standard_normal(2) + (1.0, 0.0)
-    phase = 0
-    bit_errors = 0
-    for start in range(0, config.num_symbols, _CHUNK):
-        n = min(_CHUNK, config.num_symbols - start)
-        raw = np.frombuffer(rng.bytes((2 * n + 7) // 8), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=2 * n)
-        b0, b1 = bits[0::2], bits[1::2]
+    def run(i: int) -> int:
+        return _chunk_errors(config.seed, i, min(_CHUNK, num - i * _CHUNK), sigma)
 
-        # Gray index m, phase increment (2m + 1) pi/4; uint8 wraps mod 256,
-        # a multiple of 8, so the running sum stays exact mod 8
-        m = 2 * b0 + (b0 ^ b1)
-        t = np.cumsum(2 * m + 1, dtype=np.uint8)
-        t += phase
-        t &= 7
-        phase = int(t[-1])
+    with ThreadPoolExecutor(max_workers=min(_workers(), chunks)) as pool:
+        bit_errors = sum(pool.map(run, range(chunks)))
 
-        # column 0 is the previous chunk's last symbol
-        r = np.empty((2, n + 1))
-        r[:, 0] = prev
-        x, y = r
-        rng.standard_normal(out=x[1:])
-        rng.standard_normal(out=y[1:])
-        x[1:] *= sigma
-        x[1:] += _COS[t]
-        y[1:] *= sigma
-        y[1:] += _SIN[t]
-        prev = r[:, -1].copy()  # a view would keep the whole chunk alive
-
-        # r_k conj(r_{k-1}) in real arithmetic: a complex multiply may be
-        # fused (FMA) and move a decision across a quadrant edge
-        re = x[1:] * x[:-1] + y[1:] * y[:-1]
-        im = y[1:] * x[:-1] - x[1:] * y[:-1]
-        # inverse Gray map of the detected quadrant: b0 = (im < 0), b1 = (re <= 0)
-        bit_errors += int(np.count_nonzero(b0 != (im < 0)))
-        bit_errors += int(np.count_nonzero(b1 != (re <= 0)))
-
-    bits_sent = 2 * config.num_symbols
+    bits_sent = 2 * num
     p_hat = bit_errors / bits_sent
     z = float(ndtri(0.5 + 0.5 * config.confidence))
     half_width = z * math.sqrt(p_hat * (1.0 - p_hat) / bits_sent)

@@ -1,9 +1,10 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
-from dqpskber import McConfig, McResult, SnrPoint, exact_ber, simulate
+from dqpskber import McConfig, McResult, SnrPoint, exact_ber, montecarlo, simulate
 
 
 def _config(**kwargs) -> McConfig:
@@ -54,26 +55,49 @@ class TestDeterminism:
     def test_chunk_boundary_consistency(self):
         # Pins the documented draw order across versions: one run inside a
         # chunk, runs one symbol past a chunk, exactly four chunks, and a
-        # ragged last chunk (the chunk is 2**21 symbols).
+        # ragged last chunk (the chunk is 2**16 symbols).
         pinned = [
-            ((3.0, 10**5, 42), McResult(0.072755, 14551, 200000, 0.0014959971093090497)),
+            ((3.0, 10**5, 42), McResult(0.072865, 14573, 200000, 0.0014970387933142951)),
             (
-                (0.0, 3 * 2**21 + 12345, 7),
-                McResult(0.16391348648220336, 2066556, 12607602, 0.00026855533690913575),
+                (0.0, 3 * 2**16 + 12345, 7),
+                McResult(0.1640584246218049, 68561, 417906, 0.0014755876354721306),
             ),
             (
-                (3.0, 2**21 + 1, 9),
-                McResult(0.07190104870746197, 301575, 4194306, 0.00032490154541660153),
+                (3.0, 2**16 + 1, 9),
+                McResult(0.07128034545371317, 9343, 131074, 0.0018305686451194963),
             ),
             (
-                (10.0, 4 * 2**21, 5),
-                McResult(0.0003350973129272461, 5622, 16777216, 1.1509854315238023e-05),
+                (10.0, 4 * 2**16, 5),
+                McResult(0.00031280517578125, 164, 524288, 6.290731521557546e-05),
             ),
         ]
         for (db, n, seed), expected in pinned:
             r = simulate(_config(snr=SnrPoint.from_db(db), num_symbols=n, seed=seed))
             assert r == expected, (db, n, seed)
             assert type(r.bit_errors) is int and type(r.ber_estimate) is float
+
+    def test_chunks_draw_independent_streams(self):
+        # Two chunks sharing one stream (e.g. a missing spawn_key) would
+        # repeat the first chunk's errors exactly.
+        one = simulate(_config(snr=SnrPoint.from_db(0.0), num_symbols=2**16, seed=1))
+        two = simulate(_config(snr=SnrPoint.from_db(0.0), num_symbols=2 * 2**16, seed=1))
+        assert two.bit_errors != 2 * one.bit_errors
+
+
+class TestWorkers:
+    def test_worker_count_does_not_change_result(self, monkeypatch):
+        config = _config(snr=SnrPoint.from_db(0.0), num_symbols=5 * 2**16 + 7, seed=3)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+            results.append(simulate(config))
+        assert results[0] == results[1] == results[2]
+
+    def test_without_affinity_falls_back_to_cpu_count(self, monkeypatch):
+        expected = simulate(_config())
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert montecarlo._workers() == (os.cpu_count() or 1)
+        assert simulate(_config()) == expected
 
 
 class TestResultInvariants:
