@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, i0e
 
 from . import specfun
 
@@ -208,6 +207,7 @@ def _columns(g: np.ndarray, problems: list) -> dict[str, np.ndarray]:
     e^{-ab}/(1 +- e^{-2ab}) and e^{-ab}/(1 + lambda0 e^{-ab}) so every member
     stays finite at any SNR. Rows outside the domain go to `problems`.
     """
+    from scipy.special import erfcx, i0e  # deferred: `_exact` needs numpy only
     _require(problems, g, (g > 0.0) & (g < math.inf), "gamma_lin must be positive and finite")
     a = np.sqrt(g * _A_COEF)
     b = np.sqrt(g * _B_COEF)

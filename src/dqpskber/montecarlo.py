@@ -21,19 +21,18 @@ carried from one chunk to the next, so bits_sent is still 2N.
 
 simulate runs the chunks on a thread pool with one thread per CPU in
 the process's affinity mask (numpy's fills and large ufuncs release the
-GIL). Chunk results are summed as integers, so a given McConfig always
-yields a bit-identical McResult, however many CPUs run it.
+GIL), or in the calling thread when one chunk or one CPU leaves nothing
+to share. Chunk results are summed as integers, so a given McConfig
+always yields a bit-identical McResult, however many CPUs run it.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bounds import SnrPoint
 
@@ -126,6 +125,8 @@ def simulate(config: McConfig) -> McResult:
     Deterministic for a fixed config, whatever the CPU count; each chunk
     starts from a data-free phase reference, so bits_sent == 2 * num_symbols.
     """
+    from scipy.special import ndtri
+
     gamma = config.snr.gamma_lin
     sigma = math.sqrt(1.0 / (4.0 * gamma))
     num = config.num_symbols
@@ -134,8 +135,14 @@ def simulate(config: McConfig) -> McResult:
     def run(i: int) -> int:
         return _chunk_errors(config.seed, i, min(_CHUNK, num - i * _CHUNK), sigma)
 
-    with ThreadPoolExecutor(max_workers=min(_workers(), chunks)) as pool:
-        bit_errors = sum(pool.map(run, range(chunks)))
+    workers = min(_workers(), chunks)
+    if workers == 1:
+        bit_errors = sum(map(run, range(chunks)))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            bit_errors = sum(pool.map(run, range(chunks)))
 
     bits_sent = 2 * num
     p_hat = bit_errors / bits_sent

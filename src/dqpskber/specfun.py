@@ -1,5 +1,9 @@
 """Scalar special functions: scipy.special behind this package's input checks.
 
+scipy is imported inside each function that calls it, not at module
+load, so importing the package loads numpy only; the first call pays
+scipy's import once.
+
 Modified Bessel functions I0 and I1 (plain and exponentially scaled) are
 `scipy.special.i0`, `i1`, `i0e` and `i1e`; the complementary error
 function and the Gaussian tail-difference helpers are `math.erfc`. Each
@@ -24,7 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 # Relative accuracy requested from the adaptive quadrature.
 _QUAD_EPSREL = 1e-12
@@ -58,12 +61,14 @@ def bessel_i0(x: float) -> float:
     Relative error <= 1e-13. Raises OverflowError where the true value
     exceeds the double range (x > ~709.7).
     """
+    from scipy import special
     x = _check_nonneg(x)
     return _check_finite(float(special.i0(x)), x)
 
 
 def bessel_i0_scaled(x: float) -> float:
     """exp(-x) I0(x) (`scipy.special.i0e`); strictly decreasing, in (0, 1], never overflows."""
+    from scipy import special
     return float(special.i0e(_check_nonneg(x)))
 
 
@@ -72,12 +77,14 @@ def bessel_i1(x: float) -> float:
 
     Relative error <= 1e-13; OverflowError as for :func:`bessel_i0`.
     """
+    from scipy import special
     x = _check_nonneg(x)
     return _check_finite(float(special.i1(x)), x)
 
 
 def bessel_i1_scaled(x: float) -> float:
     """exp(-x) I1(x) (`scipy.special.i1e`); finite for every representable x >= 0."""
+    from scipy import special
     return float(special.i1e(_check_nonneg(x)))
 
 
@@ -121,6 +128,7 @@ def marcum_q_series(a: float, b: float) -> float:
     Q(a, b) = 1 + exp(-(a^2+b^2)/2) I0(ab) - Q(b, a); Q(a, b) >= 1/2 there,
     so nothing cancels.
     """
+    from scipy import special
     a, b = _check_marcum_args(a, b)
     if b == 0.0:
         return 1.0

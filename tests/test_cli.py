@@ -339,6 +339,7 @@ class TestGolden:
                  "--cols", "l1,l2,u1,u2,u3,ber1,ber2,ber3,ber4,w5,w6,w7"),
             ),
             ("mc_3db.csv", ("mc", "--snr-db", "3", "--symbols", "100000", "--seed", "42")),
+            ("constants.csv", ("constants",)),
         ],
     )
     def test_byte_identical(self, capsys, name, argv):

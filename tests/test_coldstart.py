@@ -1,0 +1,93 @@
+"""Cold start: importing the package, the exact BER and the CLI's usage
+load numpy but not scipy; the closed forms import scipy.special on first
+use, from any thread. Each check runs in a fresh interpreter, because the
+test process has scipy loaded already."""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import dqpskber
+from dqpskber import SnrPoint, approx_set
+
+SRC = str(Path(dqpskber.__file__).resolve().parent.parent)
+
+
+def _fresh(script: str) -> dict:
+    """Run `script` in a new interpreter with this package first on its path; its last stdout line is JSON."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_exact_ber_and_help_load_no_scipy():
+    got = _fresh(
+        """
+        import contextlib, dataclasses, io, json, sys
+        import dqpskber, dqpskber.cli
+        from dqpskber import SnrPoint, approx_set, exact_ber
+
+        exact_ber(SnrPoint.from_db(6))
+        with contextlib.redirect_stdout(io.StringIO()) as usage:
+            try:
+                dqpskber.cli.main(["--help"])
+            except SystemExit:
+                pass
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        closed = dataclasses.astuple(approx_set(SnrPoint.from_db(6)))
+        print(json.dumps({"scipy": loaded, "usage": usage.getvalue(), "closed": closed}))
+        """
+    )
+    assert got["scipy"] == []
+    assert got["usage"].startswith("usage:")
+    assert tuple(got["closed"]) == dataclasses.astuple(approx_set(SnrPoint.from_db(6)))
+
+
+def test_concurrent_first_closed_form_calls_agree():
+    got = _fresh(
+        """
+        import json, sys, threading
+        import numpy as np
+        from dqpskber import approx
+
+        g = np.linspace(0.5, 25.0, 50)
+        loaded = "scipy" in sys.modules
+        start = threading.Barrier(2)
+        results, errors = [None, None], []
+
+        def first_call(i):
+            start.wait()
+            try:
+                results[i] = approx.evaluate(g, approx.COLUMNS)
+            except Exception as exc:
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=first_call, args=(i,), daemon=True) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        alive = any(t.is_alive() for t in threads)
+        serial = approx.evaluate(g, approx.COLUMNS)
+        agree = all(
+            r is not None and all(np.array_equal(r[c], serial[c]) for c in approx.COLUMNS)
+            for r in results
+        )
+        print(json.dumps({"scipy": loaded, "alive": alive, "errors": errors, "agree": agree}))
+        """
+    )
+    assert got["scipy"] is False
+    assert got["alive"] is False
+    assert got["errors"] == []
+    assert got["agree"] is True

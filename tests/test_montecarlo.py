@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -98,6 +99,19 @@ class TestWorkers:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert montecarlo._workers() == (os.cpu_count() or 1)
         assert simulate(_config()) == expected
+
+    def test_one_thread_of_work_starts_no_thread(self, monkeypatch):
+        # one chunk, then several chunks on one CPU: both run in the calling thread
+        several = _config(num_symbols=3 * 2**16 + 5)
+        expected = simulate(several)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert simulate(_config(num_symbols=2**16)).bits_sent == 2**17
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+        assert simulate(several) == expected
 
 
 class TestResultInvariants:
