@@ -1,15 +1,19 @@
-"""Independent high-precision reference implementations (mpmath).
+"""Independent reference implementations.
 
-Everything here is computed from first principles at 30 significant
-digits, sharing no code with the package: the grid tests compare the
-shipped double-precision kernels against these.
+Everything but ref_chunk_errors is computed from first principles with
+mpmath at 30 significant digits, sharing no code with the package: the
+grid tests compare the shipped double-precision kernels against these.
+ref_chunk_errors is the Monte-Carlo chunk kernel in its plain allocating
+form, the reference for the documented draw order.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 30
 
@@ -88,3 +92,46 @@ def ref_bounds(gamma_lin: float) -> dict[str, mp.mpf]:
 
 def rel_err(value: float, reference: mp.mpf) -> float:
     return float(abs(mp.mpf(value) - reference) / abs(reference))
+
+
+def ref_normal_quantile(p: float) -> mp.mpf:
+    """Standard normal quantile: sqrt(2) erfinv(2p - 1)."""
+    return _SQRT2 * mp.erfinv(2 * mp.mpf(p) - 1)
+
+
+_ANGLES = np.arange(8) * (math.pi / 4.0)
+_COS = np.cos(_ANGLES)
+_SIN = np.sin(_ANGLES)
+
+
+def ref_chunk_errors(seed: int, index: int, n: int, sigma: float) -> int:
+    """Bit errors of chunk `index`: n data symbols after its own reference."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
+    ref = sigma * rng.standard_normal(2) + (1.0, 0.0)
+    raw = np.frombuffer(rng.bytes((2 * n + 7) // 8), dtype=np.uint8)
+    bits = np.unpackbits(raw, count=2 * n)
+    b0, b1 = bits[0::2], bits[1::2]
+
+    # Gray index m, phase increment (2m + 1) pi/4; uint8 wraps mod 256,
+    # a multiple of 8, so the running sum stays exact mod 8
+    m = 2 * b0 + (b0 ^ b1)
+    t = np.cumsum(2 * m + 1, dtype=np.uint8)
+    t &= 7
+
+    # column 0 is the reference symbol
+    r = np.empty((2, n + 1))
+    r[:, 0] = ref
+    x, y = r
+    rng.standard_normal(out=x[1:])
+    rng.standard_normal(out=y[1:])
+    x[1:] *= sigma
+    x[1:] += _COS[t]
+    y[1:] *= sigma
+    y[1:] += _SIN[t]
+
+    # r_k conj(r_{k-1}) in real arithmetic: a complex multiply may be
+    # fused (FMA) and move a decision across a quadrant edge
+    re = x[1:] * x[:-1] + y[1:] * y[:-1]
+    im = y[1:] * x[:-1] - x[1:] * y[:-1]
+    # inverse Gray map of the detected quadrant: b0 = (im < 0), b1 = (re <= 0)
+    return int(np.count_nonzero(b0 != (im < 0))) + int(np.count_nonzero(b1 != (re <= 0)))

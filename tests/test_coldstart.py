@@ -1,7 +1,7 @@
-"""Cold start: importing the package, the exact BER and the CLI's usage
-load numpy but not scipy; the closed forms import scipy.special on first
-use, from any thread. Each check runs in a fresh interpreter, because the
-test process has scipy loaded already."""
+"""Cold start: importing the package, the exact BER, the CLI's usage and
+its Monte-Carlo run load numpy but not scipy; the closed forms import
+scipy.special on first use, from any thread. Each check runs in a fresh
+interpreter, because the test process has scipy loaded already."""
 
 import dataclasses
 import json
@@ -15,6 +15,7 @@ import dqpskber
 from dqpskber import SnrPoint, approx_set
 
 SRC = str(Path(dqpskber.__file__).resolve().parent.parent)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _fresh(script: str) -> dict:
@@ -52,6 +53,23 @@ def test_import_exact_ber_and_help_load_no_scipy():
     assert got["scipy"] == []
     assert got["usage"].startswith("usage:")
     assert tuple(got["closed"]) == dataclasses.astuple(approx_set(SnrPoint.from_db(6)))
+
+
+def test_mc_loads_no_scipy():
+    got = _fresh(
+        """
+        import contextlib, io, json, sys
+        from dqpskber import cli
+
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["mc", "--snr-db", "3", "--symbols", "100000", "--seed", "42"])
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        print(json.dumps({"code": code, "scipy": loaded, "out": out.getvalue()}))
+        """
+    )
+    assert got["code"] == 0
+    assert got["scipy"] == []
+    assert got["out"].encode() == (GOLDEN / "mc_3db.csv").read_bytes()
 
 
 def test_concurrent_first_closed_form_calls_agree():

@@ -1,10 +1,14 @@
 import dataclasses
+import math
 import os
+import sys
 import threading
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import oracles
 from dqpskber import McConfig, McResult, SnrPoint, exact_ber, montecarlo, simulate
 
 
@@ -20,8 +24,8 @@ class TestConfigValidation:
             _config(num_symbols=999)
 
     def test_rejects_bad_confidence(self):
-        for c in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
+        for c in (0.0, 1.0, -0.5, 1.5, math.nan, "0.9", None, 0.9j):
+            with pytest.raises(ValueError, match="confidence must be a real number in"):
                 _config(confidence=c)
 
     def test_rejects_negative_seed(self):
@@ -58,14 +62,14 @@ class TestDeterminism:
         # chunk, runs one symbol past a chunk, exactly four chunks, and a
         # ragged last chunk (the chunk is 2**16 symbols).
         pinned = [
-            ((3.0, 10**5, 42), McResult(0.072865, 14573, 200000, 0.0014970387933142951)),
+            ((3.0, 10**5, 42), McResult(0.072865, 14573, 200000, 0.001497038793314295)),
             (
                 (0.0, 3 * 2**16 + 12345, 7),
-                McResult(0.1640584246218049, 68561, 417906, 0.0014755876354721306),
+                McResult(0.1640584246218049, 68561, 417906, 0.0014755876354721304),
             ),
             (
                 (3.0, 2**16 + 1, 9),
-                McResult(0.07128034545371317, 9343, 131074, 0.0018305686451194963),
+                McResult(0.07128034545371317, 9343, 131074, 0.001830568645119496),
             ),
             (
                 (10.0, 4 * 2**16, 5),
@@ -76,6 +80,21 @@ class TestDeterminism:
             r = simulate(_config(snr=SnrPoint.from_db(db), num_symbols=n, seed=seed))
             assert r == expected, (db, n, seed)
             assert type(r.bit_errors) is int and type(r.ber_estimate) is float
+
+    def test_matches_reference_chunks(self, monkeypatch):
+        # The reference kernel allocates fresh arrays per chunk; the shipped
+        # one reuses a workspace per worker, where a ragged last chunk that
+        # follows full ones must not read their stale symbols.
+        for db in (-10.0, 0.0, 6.0, 60.0):
+            snr = SnrPoint.from_db(db)
+            sigma = math.sqrt(1.0 / (4.0 * snr.gamma_lin))
+            for n in (1000, 2**16, 2**16 + 1, 5 * 2**16 + 7):
+                sizes = [min(2**16, n - start) for start in range(0, n, 2**16)]
+                expected = sum(oracles.ref_chunk_errors(4, i, k, sigma) for i, k in enumerate(sizes))
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+                    got = simulate(_config(snr=snr, num_symbols=n, seed=4)).bit_errors
+                    assert got == expected, (db, n, workers)
 
     def test_chunks_draw_independent_streams(self):
         # Two chunks sharing one stream (e.g. a missing spawn_key) would
@@ -112,6 +131,24 @@ class TestWorkers:
         assert simulate(_config(num_symbols=2**16)).bits_sent == 2**17
         monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
         assert simulate(several) == expected
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt counts page faults on Linux")
+    def test_chunks_reuse_memory(self, monkeypatch):
+        # Minor page faults of a 16-chunk single-worker run. Allocating fresh
+        # float arrays per chunk took 10,240 (640 per chunk, glibc returning
+        # them to the OS after each chunk); one workspace per worker takes 0.
+        # The first two runs fault the 2 MB workspace in (1,260 then 512)
+        # while glibc raises its mmap threshold, so two warm-up runs come first.
+        import resource
+
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+        config = _config(num_symbols=16 * 2**16)
+        simulate(config)
+        simulate(config)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        simulate(config)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 2000, faults
 
 
 class TestResultInvariants:
@@ -163,6 +200,15 @@ def test_noise_scaling_monotonicity():
         [simulate(McConfig(snr=hi, num_symbols=10**6, seed=s)).ber_estimate for s in range(10)]
     )
     assert hi_mean < lo_mean
+
+
+def test_half_width_uses_the_normal_quantile():
+    # z = Phi^-1(0.5 + c/2) to a few ulp: the 30-digit half-width agrees to 1e-15
+    for c in (0.9, 0.95, 0.99, 0.999):
+        r = simulate(_config(confidence=c))
+        p = mp.mpf(r.bit_errors) / r.bits_sent
+        z = oracles.ref_normal_quantile(0.5 + 0.5 * c)
+        assert oracles.rel_err(r.ci_half_width, z * mp.sqrt(p * (1 - p) / r.bits_sent)) <= 1e-15, c
 
 
 def test_wider_confidence_widens_interval():
