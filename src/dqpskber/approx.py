@@ -79,30 +79,46 @@ def _like(gamma, values: np.ndarray):
 def omega5(gamma):
     """Weight for the ber5 mean, two branches split at gamma = 1 (linear SNR)."""
     g = _check_gamma(gamma, minimum_exclusive=True)
-    return _like(gamma, np.piecewise(g, [g < 1.0], [
-        lambda x: 0.65 * x**0.25,
-        lambda x: 0.5 + 1.1 * np.exp(-math.pi / (2.0 * np.sqrt(x))) / x**1.5 * math.sqrt(0.5),
-    ]))
+    # branches on a 1-d array, so a scalar gets the array loops' last bit
+    # (numpy-scalar arithmetic can differ there)
+    x = g.reshape(-1)
+    with np.errstate(all="ignore"):
+        w = np.where(
+            x < 1.0,
+            0.65 * x**0.25,
+            0.5 + 1.1 * np.exp(-math.pi / (2.0 * np.sqrt(x))) / x**1.5 * math.sqrt(0.5),
+        )
+    return _like(gamma, w.reshape(g.shape))
 
 
 def omega6(gamma):
     """Weight for the ber6 mean, three branches split at gamma = 1 and 5."""
     g = _check_gamma(gamma, minimum_exclusive=False)
-    return _like(gamma, np.piecewise(g, [g < 1.0, (1.0 <= g) & (g < 5.0)], [
-        lambda x: np.exp(-x * x / 2.9) * 0.25 + 0.5,
-        lambda x: np.exp(-1.0 / (2.0 * x + 1.0)) / (x + 0.5) ** 1.5 * math.sqrt(1.0 / (2.0 * math.pi)) * 1.15 + 0.5,
-        lambda x: (1.0 / math.pi) / (1.0 + x) * 0.65 + 0.5,
-    ]))
+    x = g.reshape(-1)
+    with np.errstate(all="ignore"):
+        w = np.where(
+            x < 1.0,
+            np.exp(-x * x / 2.9) * 0.25 + 0.5,
+            np.where(
+                x < 5.0,
+                np.exp(-1.0 / (2.0 * x + 1.0)) / (x + 0.5) ** 1.5 * math.sqrt(1.0 / (2.0 * math.pi)) * 1.15 + 0.5,
+                (1.0 / math.pi) / (1.0 + x) * 0.65 + 0.5,
+            ),
+        )
+    return _like(gamma, w.reshape(g.shape))
 
 
 def omega7(gamma):
     """Weight for the ber7 mean, three branches split at gamma = 1 and 8."""
     g = _check_gamma(gamma, minimum_exclusive=False)
-    return _like(gamma, np.piecewise(g, [g < 1.0, (1.0 <= g) & (g < 8.0)], [
-        lambda x: (1.0 - x) ** 2 * 0.95,
-        lambda x: 0.5 - 1.4 * np.exp(-(x**1.2)) + 0.02,
-        lambda x: 1.0 / (5.2 * x) + 0.5,
-    ]))
+    x = g.reshape(-1)
+    with np.errstate(all="ignore"):
+        w = np.where(
+            x < 1.0,
+            (1.0 - x) ** 2 * 0.95,
+            np.where(x < 8.0, 0.5 - 1.4 * np.exp(-(x**1.2)) + 0.02, 1.0 / (5.2 * x) + 0.5),
+        )
+    return _like(gamma, w.reshape(g.shape))
 
 
 _WEIGHTED = {"5": ("l1", "u1", omega5), "6": ("l2", "u2", omega6), "7": ("l2", "u3", omega7)}

@@ -161,8 +161,11 @@ def _scale(g: np.ndarray) -> np.ndarray:
     """exp(-g (2 - sqrt 2)) = exp(-(b - a)^2 / 2), the size of the exact BER and of every bound.
 
     The exact BER and the closed forms take it from this one expression, so
-    its rounding cancels in the relative errors eps5..eps7.
+    its rounding cancels in the relative errors eps5..eps7. Clamped at
+    `_G_UNDERFLOW`, where it is 0 already: beyond g ~ 5e19 (197 dB),
+    exp(-g _A_LO) would overflow and 0 inf give NaN.
     """
+    g = np.fmin(g, _G_UNDERFLOW)
     return np.exp(-g * _A_HI) * np.exp(-g * _A_LO)
 
 

@@ -45,18 +45,100 @@ _TABLES = {
 
 # Value cells: 6 significant digits in lowercase scientific notation.
 _CELL = "%.5e"
+# Rows per block of `_csv`, which bounds the renderer's temporaries.
+_ROWS = 4096
+# 10^k for k = -330..330 (index k + 330), each the correctly rounded double.
+_POW10 = np.array([float(f"1e{k}") for k in range(-330, 331)])
 
 
 def _fmt_gamma(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _digits(x: np.ndarray, places: int) -> np.ndarray:
+    """ASCII codes of the decimal digits of the integers 0 <= x < 10^places
+    (floats), most significant first, along a new leading axis. Exact:
+    x / 10^p is one rounding away from floor(x / 10^p) + j / 10^p, with
+    j = 0 or j >= 1."""
+    q = x / 10.0 ** np.arange(places - 1, -1, -1)[:, None, None]
+    np.floor(q, out=q)
+    q[1:] -= 10.0 * q[:-1]
+    q += ord("0")
+    return q
+
+
+def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`,` and the `_CELL` text of each value of a 2-D array, as NUL-padded
+    ASCII of shape values.shape + (14,), and the mask of the cells proven
+    to match `%`.
+
+    With e = floor(log10 |x|), y = |x| 10^(5 - e) is two correctly rounded
+    steps below 1e6, so within 2.3e-10 of its true value: more than 1e-9
+    from a tie, rint(y) is the six digits `%` prints. Where log10 puts e
+    one too high, a cell is proven only if y >= 99999.96, where rint(y) =
+    1e5 is still right; where one too low, only if rint(y) = 1e6, printed
+    as 1.00000 with e + 1. nan, inf, subnormals and |x| outside
+    [1e-300, 1e300) are not proven; -0.0 prints as -0.00000e+00.
+    """
+    a = np.abs(values)
+    with np.errstate(invalid="ignore"):  # signalling NaNs
+        zero = a == 0.0
+        ok = (a >= 1e-300) & (a < 1e300)
+    a = np.where(ok, a, 1.0)  # zeros and unproven cells take the digits of 1.0
+    ok |= zero
+    e = np.floor(np.log10(a))
+    y = a * _POW10[335 - e.astype(np.int64)]
+    r = np.rint(y)
+    ok &= (np.abs(y - r) < 0.5 - 1e-9) & (y >= 99999.96) & (r <= 1e6)
+    top = r == 1e6
+    r[top] = 1e5
+    r[zero] = 0.0  # 0.00000e+00
+    e += top
+    mantissa = _digits(r, 6)
+    exponent = _digits(np.abs(e), 3)
+
+    cells = np.zeros(values.shape + (14,), dtype=np.uint8)
+    for j, byte in ((0, ","), (3, "."), (9, "e")):
+        cells[..., j] = ord(byte)
+    cells[..., 1] = np.signbit(values) * ord("-")
+    for j, digit in zip((2, 4, 5, 6, 7, 8), mantissa):
+        cells[..., j] = digit
+    cells[..., 10] = np.where(e < 0, ord("-"), ord("+"))
+    cells[..., 11] = np.where(exponent[0] > ord("0"), exponent[0], 0)
+    cells[..., 12] = exponent[1]
+    cells[..., 13] = exponent[2]
+    return cells, ok
+
+
+def _rows(labels: list[str], values: np.ndarray) -> str | None:
+    """Lines `label,cell,...` for a (rows, columns) block from `_cells`;
+    None if some cell is not proven. Labels and cells are NUL-padded to
+    fixed widths in one byte matrix, and the NULs are dropped at the end."""
+    cells, ok = _cells(values)
+    if not ok.all():
+        return None
+    n = len(labels)
+    label = np.array(labels, dtype="S").view(np.uint8).reshape(n, -1)
+    text = np.concatenate([label, cells.reshape(n, -1), np.full((n, 1), ord("\n"), np.uint8)], axis=1)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv(header: str, labels: list[str], gamma_lin, columns) -> str:
-    """One CSV row per SNR: its label, then the columns from one kernel call."""
+    """One CSV row per SNR: its label, then the columns from one kernel call.
+
+    Rows go through `_rows` in blocks of `_ROWS`; a block it cannot prove
+    is formatted with one `%` per row instead."""
     values = approx.evaluate(gamma_lin, columns)
-    row = ",".join(["%s"] + [_CELL] * len(columns))
-    lines = [header] + [row % cells for cells in zip(labels, *(values[c].tolist() for c in columns))]
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%s"] + [_CELL] * len(columns)) + "\n"
+    parts = [header + "\n"]
+    for lo in range(0, len(labels), _ROWS):
+        block = np.column_stack([values[c][lo : lo + _ROWS] for c in columns])
+        names = labels[lo : lo + _ROWS]
+        text = _rows(names, block)
+        if text is None:
+            text = "".join(row % (name, *cells) for name, cells in zip(names, block.tolist()))
+        parts.append(text)
+    return "".join(parts)
 
 
 def cmd_table(which: int) -> str:

@@ -1,10 +1,13 @@
 """Independent reference implementations.
 
-Everything but ref_chunk_errors is computed from first principles with
-mpmath at 30 significant digits, sharing no code with the package: the
-grid tests compare the shipped double-precision kernels against these.
-ref_chunk_errors is the Monte-Carlo chunk kernel in its plain allocating
-form, the reference for the documented draw order.
+Everything but ref_chunk_errors and ref_omega5..7 is computed from first
+principles with mpmath at 30 significant digits, sharing no code with the
+package: the grid tests compare the shipped double-precision kernels
+against these. ref_chunk_errors is the Monte-Carlo chunk kernel in its
+plain allocating form, the reference for the documented draw order;
+ref_omega5..7 are the weight functions in their np.piecewise form, the
+reference for the package's np.where form, which must match them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -135,3 +138,29 @@ def ref_chunk_errors(seed: int, index: int, n: int, sigma: float) -> int:
     im = y[1:] * x[:-1] - x[1:] * y[:-1]
     # inverse Gray map of the detected quadrant: b0 = (im < 0), b1 = (re <= 0)
     return int(np.count_nonzero(b0 != (im < 0))) + int(np.count_nonzero(b1 != (re <= 0)))
+
+
+def ref_omega5(g) -> np.ndarray:
+    g = np.asarray(g, dtype=float)
+    return np.piecewise(g, [g < 1.0], [
+        lambda x: 0.65 * x**0.25,
+        lambda x: 0.5 + 1.1 * np.exp(-math.pi / (2.0 * np.sqrt(x))) / x**1.5 * math.sqrt(0.5),
+    ])
+
+
+def ref_omega6(g) -> np.ndarray:
+    g = np.asarray(g, dtype=float)
+    return np.piecewise(g, [g < 1.0, (1.0 <= g) & (g < 5.0)], [
+        lambda x: np.exp(-x * x / 2.9) * 0.25 + 0.5,
+        lambda x: np.exp(-1.0 / (2.0 * x + 1.0)) / (x + 0.5) ** 1.5 * math.sqrt(1.0 / (2.0 * math.pi)) * 1.15 + 0.5,
+        lambda x: (1.0 / math.pi) / (1.0 + x) * 0.65 + 0.5,
+    ])
+
+
+def ref_omega7(g) -> np.ndarray:
+    g = np.asarray(g, dtype=float)
+    return np.piecewise(g, [g < 1.0, (1.0 <= g) & (g < 8.0)], [
+        lambda x: (1.0 - x) ** 2 * 0.95,
+        lambda x: 0.5 - 1.4 * np.exp(-(x**1.2)) + 0.02,
+        lambda x: 1.0 / (5.2 * x) + 0.5,
+    ])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,34 @@ class TestWeightFunctions:
             assert 0.0 <= approx.omega5(g) <= 1.0
             assert 0.0 <= approx.omega6(g) <= 1.0
             assert 0.0 <= approx.omega7(g) <= 1.0
+
+    def test_where_matches_piecewise_reference(self):
+        # the np.where weights against their earlier np.piecewise form, bit
+        # for bit: 0, each breakpoint with its neighbours, 1e-300..1e300
+        edges = np.array([1.0, 5.0, 8.0])
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        grid = np.concatenate([[0.0], near, np.linspace(0.0, 20.0, 4001), np.logspace(-300, 300, 6001)])
+        for omega, ref, g in (
+            (approx.omega5, oracles.ref_omega5, grid[grid > 0.0]),
+            (approx.omega6, oracles.ref_omega6, grid),
+            (approx.omega7, oracles.ref_omega7, grid),
+        ):
+            with np.errstate(all="ignore"):
+                want = ref(g)
+            got = omega(g)
+            assert got.dtype == np.float64 and got.shape == g.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), omega.__name__
+            # scalars too: numpy-scalar arithmetic differs in the last bit
+            # at points like these two for omega6
+            for x in np.concatenate([near, g[g <= 20.0], [1.9505819232575616, 2.6652270073781614]]).tolist():
+                assert omega(x) == float(ref(x)), (omega.__name__, x)
+
+    def test_scalar_extremes_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for omega, xs in ((approx.omega5, (1e-300, 1e300)), (approx.omega6, (0.0, 1e300)), (approx.omega7, (0.0, 1e300))):
+                for x in xs:
+                    assert 0.0 <= omega(x) <= 1.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -236,6 +265,15 @@ class TestApproxSet:
             v = getattr(aset, name)
             assert math.isfinite(v)
             assert v > 0.0
+
+    def test_approximations_finite_far_beyond_double_range(self):
+        # eps5..eps7 need exact > 0, which underflows above ~31 dB, so the
+        # seven approximations are checked one by one
+        for db in (200.0, 300.0):
+            snr = bounds.SnrPoint.from_db(db)
+            for ber in (approx.ber1, approx.ber2, approx.ber3, approx.ber4, approx.ber5, approx.ber6, approx.ber7):
+                v = ber(snr)
+                assert math.isfinite(v) and v >= 0.0, (db, ber.__name__)
 
     def test_variable_weights_beat_fixed_midpoint_on_reference_rows(self):
         # |eps6| and |eps7| below |eps1| at every tabulated row

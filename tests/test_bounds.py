@@ -211,10 +211,15 @@ class TestBoundValues:
             assert 0.0 < v < 1e-8
 
     def test_finite_far_beyond_tabulated_range(self):
-        bs = bounds.bound_set(bounds.SnrPoint.from_db(40.0))
-        for v in (bs.l1, bs.l2, bs.u1, bs.u2, bs.u3):
-            assert math.isfinite(v)
-            assert v >= 0.0
+        # up to 3077.2 dB, the last tenth of a dB before b = sqrt(g (2 + sqrt 2))
+        # overflows a double
+        for db in (40.0, 200.0, 300.0, 3077.2):
+            bs = bounds.bound_set(bounds.SnrPoint.from_db(db))
+            for v in (bs.l1, bs.l2, bs.u1, bs.u2, bs.u3):
+                assert math.isfinite(v), db
+                assert v >= 0.0
+        with pytest.raises(ValueError, match="overflows b"):
+            bounds.bound_set(bounds.SnrPoint.from_db(3077.3))
 
     def test_independent_formula_reimplementation_at_unit_snr(self):
         # direct unscaled evaluation, small enough snr that nothing overflows

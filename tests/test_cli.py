@@ -1,9 +1,11 @@
+import decimal
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dqpskber import bounds, cli
+from dqpskber import approx, bounds, cli
 
 
 def _run(capsys, *argv):
@@ -174,6 +176,25 @@ class TestSweep:
         )
         assert code == 1
         assert err == "error: exact must be positive\n"
+
+    def test_closed_columns_finite_beyond_double_range(self, capsys):
+        # the scale factor exp(-g (2 - sqrt 2)) is clamped where it is 0
+        # already; unclamped, its low-order part overflowed from ~197 dB
+        # and every closed-form cell printed nan
+        code, out, _ = _run(
+            capsys,
+            "sweep", "--start", "190", "--stop", "300", "--step", "5", "--scale", "db",
+            "--cols", "l1,l2,u1,u2,u3,ber1,ber2,ber3,ber4,w5,w6,w7",
+        )
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 23
+        for line in rows:
+            for cell in line.split(",")[1:]:
+                assert math.isfinite(float(cell)) and float(cell) >= 0.0, line
+        _, out, _ = _run(capsys, "sweep", "--start", "300", "--stop", "310", "--step", "5",
+                         "--scale", "db", "--cols", "l1,ber4")
+        assert out.splitlines()[1:] == [f"{db},0.00000e+00,0.00000e+00" for db in (300, 305, 310)]
 
     def test_db_grid_overflowing_linear_snr_is_domain_error(self, capsys):
         code, out, err = _run(
@@ -364,3 +385,126 @@ class TestGolden:
                     continue
                 assert column in ("eps5", "eps6", "eps7") and abs(float(ref)) < 1e-5, (column, got, ref)
                 assert abs(float(got) - float(ref)) <= 2e-12, (column, got, ref)
+
+
+def _percent(labels, columns):
+    # the per-row `%` rendering the array renderer must reproduce
+    row = ",".join(["%s"] + [cli._CELL] * len(columns)) + "\n"
+    return "".join(row % (label, *cells) for label, cells in zip(labels, zip(*(c.tolist() for c in columns))))
+
+
+def _golden_sweeps():
+    # (labels, gamma_lin, columns) of the two golden sweeps, as cmd_sweep builds them
+    closed = ["l1", "l2", "u1", "u2", "u3", "ber1", "ber2", "ber3", "ber4", "w5", "w6", "w7"]
+    db = [-10.0 + i * 0.5 for i in range(82)]
+    linear = [0.5 + i * 0.5 for i in range(50)]
+    return [
+        ([f"{x:.6g}" for x in db], np.array([bounds.db_to_linear(x) for x in db]), list(approx.COLUMNS)),
+        ([f"{x:.6g}" for x in linear], np.array(linear), closed),
+    ]
+
+
+def _near_tie(x: float) -> bool:
+    # whether the 6-digit rounding of x is within 2e-9 of a tie, exactly
+    d = decimal.Decimal(x).copy_abs()
+    y = d.scaleb(5 - d.adjusted())
+    return abs(y - y.to_integral_value(decimal.ROUND_FLOOR) - decimal.Decimal("0.5")) <= decimal.Decimal("2e-9")
+
+
+class TestRenderer:
+    """`cli._cells`/`_rows` against `%`: a cell either renders to the
+    bytes of `_CELL` or is flagged, and flagged blocks go through `%`."""
+
+    @staticmethod
+    def _doubles() -> np.ndarray:
+        rng = np.random.default_rng(20120313)
+        bits = rng.integers(0, 2**64, 420_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        tens = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+        ties = np.array([float(f"{m}5e{j}") for m, j in zip(
+            rng.integers(100_000, 1_000_000, 150_000).tolist(), rng.integers(-306, 294, 150_000).tolist()
+        )])
+        ties = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+        edges = np.concatenate([1e300 * (1.0 + rng.uniform(-1e-3, 1e-3, 20_000)),
+                                1e-300 * (1.0 + rng.uniform(-1e-3, 1e-3, 20_000)),
+                                [1e300, 1e-300, np.nextafter(1e300, 0.0), np.nextafter(1e-300, 0.0)]])
+        spread = 10.0 ** rng.uniform(-320.0, 308.0, 100_000)
+        golden = [np.concatenate(list(approx.evaluate(gamma, columns).values())) for _, gamma, columns in _golden_sweeps()]
+        golden += [
+            np.array([float(cell) for line in (GOLDEN / name).read_text().splitlines()[1:] for cell in line.split(",")[1:]])
+            for name in ("sweep_all_db.csv", "sweep_closed_linear.csv")
+        ]
+        x = np.concatenate([tens, ties, edges, spread, *golden])
+        x[rng.random(x.size) < 0.5] *= -1.0
+        return np.concatenate([bits, x, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+
+    def test_cells_match_percent_on_a_million_doubles(self):
+        x = self._doubles()
+        assert x.size >= 10**6
+        proven = np.empty(x.size, dtype=bool)
+        for lo in range(0, x.size, 1 << 16):
+            chunk = x[lo : lo + (1 << 16)]
+            cells, ok = cli._cells(chunk.reshape(-1, 1))
+            ok = ok.ravel()
+            proven[lo : lo + chunk.size] = ok
+            got = cells[ok].tobytes().translate(None, b"\0").decode("ascii").split(",")[1:]
+            want = [cli._CELL % v for v in chunk[ok].tolist()]
+            mismatches = [(g, w) for g, w in zip(got, want) if g != w]
+            assert len(got) == len(want) and not mismatches, mismatches[:5]
+        # only nan, inf, |x| outside [1e-300, 1e300) and near-ties fall back
+        a = np.abs(x)
+        outside = ~((a >= 1e-300) & (a < 1e300)) & (a != 0.0)
+        assert np.array_equal(~proven & outside, outside)
+        assert all(_near_tie(v) for v in x[~proven & ~outside].tolist())
+        assert proven[:420_000].mean() > 0.95  # random bit patterns, mostly in range
+
+    @pytest.mark.parametrize("shift", [3e-6, -3e-6])
+    def test_exponent_off_by_one_is_caught(self, monkeypatch, shift):
+        # a log10 that errs by `shift` puts e one off next to each power of
+        # ten; every cell still proven must render as `%` does
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        x = np.concatenate([np.linspace(0.99999, 1.00001, 20001) * 10.0**j for j in (-200, -3, 0, 7, 150)])
+        cells, ok = cli._cells(x.reshape(-1, 1))
+        monkeypatch.undo()
+        ok = ok.ravel()
+        got = cells[ok].tobytes().translate(None, b"\0").decode("ascii").split(",")[1:]
+        assert got == [cli._CELL % v for v in x[ok].tolist()]
+        assert 0 < ok.sum() < x.size
+
+    def test_golden_cells_take_the_array_path(self):
+        for labels, gamma, columns in _golden_sweeps():
+            values = [approx.evaluate(gamma, columns)[c] for c in columns]
+            assert cli._rows(labels, np.column_stack(values)) == _percent(labels, values)
+
+    def test_zero_and_unproven_blocks(self):
+        labels = ["1", "-2.5", "30"]
+        block = np.array([[0.0, -0.0], [1.0, -1e-300], [9.999996e5, 1e299]])
+        text = cli._rows(labels, block)
+        assert text == _percent(labels, list(block.T))
+        assert text == "1,0.00000e+00,-0.00000e+00\n-2.5,1.00000e+00,-1.00000e-300\n30,1.00000e+06,1.00000e+299\n"
+        # nan, inf, a subnormal, |x| >= 1e300, and ties at the 6th digit
+        for bad in (np.nan, -np.inf, 5e-324, 1e300, 9.999995e5, 1.000005, 2.5e-7 + 5e-13):
+            unproven = block.copy()
+            unproven[1, 1] = bad
+            assert cli._rows(labels, unproven) is None, bad
+
+    def test_block_size_does_not_change_bytes(self, monkeypatch):
+        def sweep():
+            return cli.cmd_sweep(-10.0, 14.5, 0.5, "db", list(approx.COLUMNS))
+
+        whole = sweep()
+        monkeypatch.setattr(cli, "_ROWS", 7)
+        assert sweep() == whole and whole.count("\n") == 51
+
+    def test_unproven_blocks_fall_back_to_percent(self, monkeypatch):
+        # blocks of 4 rows: the first two hold a near-tie, nan, inf and a
+        # subnormal and go through `%`, the last goes through `_rows`
+        column = np.array([1.0, 2.5e-7, 0.0, -0.0, np.nan, np.inf, 5e-324, 1.000005, 3.0, -4.0])
+        columns = {"l1": column, "u1": column[::-1].copy()}
+        monkeypatch.setattr(cli, "_ROWS", 4)
+        monkeypatch.setattr(approx, "evaluate", lambda gamma, cols: {c: columns[c] for c in cols})
+        labels = [str(k) for k in range(column.size)]
+        text = cli._csv("h,l1,u1", labels, np.ones(column.size), ["l1", "u1"])
+        assert text == "h,l1,u1\n" + _percent(labels, [columns["l1"], columns["u1"]])
+        assert "\n4,nan,inf\n5,inf,nan\n6,4.94066e-324,-0.00000e+00\n" in text
