@@ -36,6 +36,7 @@ COLUMNS = (
     "exact", "l1", "l2", "u1", "u2", "u3", "ber1", "ber2", "ber3", "ber4",
     "ber5", "ber6", "ber7", "eps5", "eps6", "eps7", "w5", "w6", "w7",
 )
+_KNOWN = frozenset(COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,13 @@ def weighted_mean(x, y, w):
 
 def _check_gamma(gamma, minimum_exclusive: bool) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
-    if np.isnan(g).any():
+    low = g.min(initial=math.inf)  # nan if any element is
+    if low != low:
         raise ValueError("gamma must not be NaN")
     if minimum_exclusive:
-        if (g <= 0.0).any():
+        if low <= 0.0:
             raise ValueError("gamma must be positive")
-    elif (g < 0.0).any():
+    elif low < 0.0:
         raise ValueError("gamma must be >= 0")
     return g
 
@@ -121,7 +123,8 @@ def omega7(gamma):
     return _like(gamma, w.reshape(g.shape))
 
 
-_WEIGHTED = {"5": ("l1", "u1", omega5), "6": ("l2", "u2", omega6), "7": ("l2", "u3", omega7)}
+# k -> the lower and upper bound that omega<k> weighs
+_WEIGHTED = {"5": ("l1", "u1"), "6": ("l2", "u2"), "7": ("l2", "u3")}
 
 
 def evaluate(gamma_lin, columns) -> dict[str, np.ndarray]:
@@ -130,17 +133,16 @@ def evaluate(gamma_lin, columns) -> dict[str, np.ndarray]:
     ValueError for an unknown column, and for the lowest-index SNR at which
     a requested column is undefined, with the scalar function's message.
     """
-    unknown = [c for c in columns if c not in COLUMNS]
-    if unknown:
-        raise ValueError(f"unknown columns {unknown!r}")
-    g = np.atleast_1d(np.asarray(gamma_lin, dtype=float))
     want = set(columns)
+    if not want <= _KNOWN:
+        raise ValueError(f"unknown columns {[c for c in columns if c not in _KNOWN]!r}")
+    g = np.atleast_1d(np.asarray(gamma_lin, dtype=float))
     out: dict[str, np.ndarray] = {}
     problems: list = []
+    for k in _WEIGHTED:
+        if want & {"w" + k, "ber" + k, "eps" + k}:
+            out["w" + k] = globals()["omega" + k](g)  # looked up now, so a wrapper set on the module sees the call
     with np.errstate(all="ignore"):
-        for k, (_, _, omega) in _WEIGHTED.items():
-            if want & {"w" + k, "ber" + k, "eps" + k}:
-                out["w" + k] = omega(g)
         if want - {"w5", "w6", "w7"}:
             out.update(bounds._columns(g, problems))
             a, b, ive, e, big_e, q1, q2 = (out[k] for k in ("a", "b", "ive", "e", "big_e", "exp_ab", "exp_2ab"))
@@ -153,7 +155,7 @@ def evaluate(gamma_lin, columns) -> dict[str, np.ndarray]:
             out["ber4"] = head + 0.25 * (np.sqrt(a / b) + np.sqrt(b / a)) * big_e
             if "ber4" in want:
                 bounds._require(problems, g, g >= 1e-12, "gamma too small for ber4 (diverges as gamma -> 0)")
-            for k, (lower, upper, _) in _WEIGHTED.items():
+            for k, (lower, upper) in _WEIGHTED.items():
                 if "w" + k in out:
                     out["ber" + k] = weighted_mean(out[lower], out[upper], out["w" + k])
         if want & {"exact", "eps5", "eps6", "eps7"}:

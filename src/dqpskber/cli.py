@@ -23,8 +23,8 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
-import tempfile
 
 import numpy as np
 
@@ -45,31 +45,31 @@ _TABLES = {
 
 # Value cells: 6 significant digits in lowercase scientific notation.
 _CELL = "%.5e"
+# SNR labels (`%` is faster than, and byte-identical to, format()).
+_GAMMA = "%.6g"
 # Rows per block of `_csv`, which bounds the renderer's temporaries.
 _ROWS = 4096
 # 10^k for k = -330..330 (index k + 330), each the correctly rounded double.
 _POW10 = np.array([float(f"1e{k}") for k in range(-330, 331)])
 
 
-def _fmt_gamma(x: float) -> str:
-    return f"{x:.6g}"
+def _words(texts: list[str]) -> np.ndarray:
+    # ASCII texts of up to 8 bytes as little-endian words, NUL-padded
+    return np.array(texts, dtype="S8").view("<u8")
 
 
-def _digits(x: np.ndarray, places: int) -> np.ndarray:
-    """ASCII codes of the decimal digits of the integers 0 <= x < 10^places
-    (floats), most significant first, along a new leading axis. Exact:
-    x / 10^p is one rounding away from floor(x / 10^p) + j / 10^p, with
-    j = 0 or j >= 1."""
-    q = x / 10.0 ** np.arange(places - 1, -1, -1)[:, None, None]
-    np.floor(q, out=q)
-    q[1:] -= 10.0 * q[:-1]
-    q += ord("0")
-    return q
+# A cell with sign bit s, six-digit mantissa m and exponent e is two words:
+# _HEAD[1000 s + m // 1000] holds ",", "-" or NUL, and the first three
+# digits as "d.dd"; _TAIL[m % 1000] | _EXP[e + 330] the last three, then
+# "e" and the exponent with its sign.
+_HEAD = _words([f",{s}{m // 100}.{m % 100:02d}" for s in ("\0", "-") for m in range(1000)])
+_TAIL = _words([f"{m:03d}" for m in range(1000)])
+_EXP = _words([f"\0\0\0e{e:+03d}" for e in range(-330, 331)])
 
 
 def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`,` and the `_CELL` text of each value of a 2-D array, as NUL-padded
-    ASCII of shape values.shape + (14,), and the mask of the cells proven
+    ASCII of shape values.shape + (16,), and the mask of the cells proven
     to match `%`.
 
     With e = floor(log10 |x|), y = |x| 10^(5 - e) is two correctly rounded
@@ -94,20 +94,10 @@ def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r[top] = 1e5
     r[zero] = 0.0  # 0.00000e+00
     e += top
-    mantissa = _digits(r, 6)
-    exponent = _digits(np.abs(e), 3)
-
-    cells = np.zeros(values.shape + (14,), dtype=np.uint8)
-    for j, byte in ((0, ","), (3, "."), (9, "e")):
-        cells[..., j] = ord(byte)
-    cells[..., 1] = np.signbit(values) * ord("-")
-    for j, digit in zip((2, 4, 5, 6, 7, 8), mantissa):
-        cells[..., j] = digit
-    cells[..., 10] = np.where(e < 0, ord("-"), ord("+"))
-    cells[..., 11] = np.where(exponent[0] > ord("0"), exponent[0], 0)
-    cells[..., 12] = exponent[1]
-    cells[..., 13] = exponent[2]
-    return cells, ok
+    head, tail = np.divmod(r.astype(np.int64), 1000)
+    head += np.signbit(values) * 1000
+    cells = np.stack([_HEAD[head], _TAIL[tail] | _EXP[e.astype(np.int64) + 330]], axis=-1)
+    return cells.view(np.uint8), ok
 
 
 def _rows(labels: list[str], values: np.ndarray) -> str | None:
@@ -132,7 +122,7 @@ def _csv(header: str, labels: list[str], gamma_lin, columns) -> str:
     row = ",".join(["%s"] + [_CELL] * len(columns)) + "\n"
     parts = [header + "\n"]
     for lo in range(0, len(labels), _ROWS):
-        block = np.column_stack([values[c][lo : lo + _ROWS] for c in columns])
+        block = np.array([values[c][lo : lo + _ROWS] for c in columns]).T
         names = labels[lo : lo + _ROWS]
         text = _rows(names, block)
         if text is None:
@@ -167,7 +157,7 @@ def cmd_sweep(start: float, stop: float, step: float, scale: str, columns: list[
         if g <= 0.0 and not (zero_ok and g == 0.0):
             raise ValueError(f"grid contains gamma = {g:g}, not valid for requested columns")
     header = ",".join(["gamma_db" if scale == "db" else "gamma_lin"] + columns)
-    return _csv(header, [_fmt_gamma(x) for x in grid], np.array(gamma), columns)
+    return _csv(header, [_GAMMA % x for x in grid], np.array(gamma), columns)
 
 
 def cmd_mc(snr_db: float, symbols: int, seed: int) -> str:
@@ -179,7 +169,7 @@ def cmd_mc(snr_db: float, symbols: int, seed: int) -> str:
     exact = bounds.exact_ber(snr)
     inside = int(abs(result.ber_estimate - exact) <= result.ci_half_width)
     fields = [
-        _fmt_gamma(snr_db),
+        _GAMMA % snr_db,
         _CELL % result.ber_estimate,
         _CELL % result.ci_half_width,
         _CELL % exact,
@@ -244,6 +234,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# `--out` temp files: a new name only, never through a symlink, and no
+# newline translation (O_BINARY, on Windows); the optional flags are
+# distinct bits, so their sum is their union.
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | sum(getattr(os, f, 0) for f in ("O_NOFOLLOW", "O_CLOEXEC", "O_BINARY"))
+_TEMP_TRIES = 8
+
+
 @functools.cache
 def _renameat2():
     # The C library's renameat2, or None where it has none (e.g. not Linux).
@@ -262,21 +259,56 @@ def _exchange(tmp_path: str, out_path: str) -> bool:
     return fn is not None and fn(-100, os.fsencode(tmp_path), -100, os.fsencode(out_path), 2) == 0
 
 
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _temp(directory: str) -> tuple[int, str]:
+    """A new file of mode 0666 less the umask, named `.dqpskber-<64 random
+    bits>.tmp` in `directory`: its descriptor and path."""
+    for attempt in range(_TEMP_TRIES):
+        path = os.path.join(directory, f".dqpskber-{os.urandom(8).hex()}.tmp")
+        try:
+            return os.open(path, _TEMP_FLAGS, 0o666), path
+        except FileExistsError:
+            if attempt == _TEMP_TRIES - 1:
+                raise
+
+
 def _emit(text: str, out_path: str | None) -> None:
     """Write `text` to stdout, or to `out_path` atomically for readers (no fsync).
 
-    An existing file is swapped out rather than renamed over: on ext4 a
-    rename over a file starts a disk write of the new one (auto_da_alloc)
-    on every call, whose time follows the disk's load."""
+    A new file takes the mode bits of the regular file it replaces. An
+    existing file is swapped out rather than renamed over: on ext4 a rename
+    over a file starts a disk write of the new one (auto_da_alloc) on every
+    call, whose time follows the disk's load. A FIFO or device is written in
+    place, as the shell's `>` would."""
     if out_path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".dqpskber-", suffix=".tmp")
+    data = text.encode()
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        if os.path.isfile(out_path) and _exchange(tmp_path, out_path):
+        mode = os.stat(out_path).st_mode
+    except FileNotFoundError:
+        mode = 0
+    if mode and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        fd = os.open(out_path, os.O_WRONLY | getattr(os, "O_CLOEXEC", 0))
+        try:
+            _write(fd, data)
+        finally:
+            os.close(fd)
+        return
+    fd, tmp_path = _temp(os.path.dirname(out_path) or os.curdir)
+    try:
+        try:
+            if stat.S_ISREG(mode) and hasattr(os, "fchmod"):  # Windows has it from Python 3.13
+                os.fchmod(fd, mode & 0o777)
+            _write(fd, data)
+        finally:
+            os.close(fd)
+        if stat.S_ISREG(mode) and _exchange(tmp_path, out_path):
             os.unlink(tmp_path)  # now the old file
         else:
             os.replace(tmp_path, out_path)

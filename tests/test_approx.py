@@ -344,6 +344,17 @@ class TestEvaluate:
             approx.evaluate(np.array([1.0, 0.0]), ["w5"])
         assert approx.evaluate(np.array([0.0]), ["w6", "w7"])["w6"][0] == 0.75
 
+    def test_weights_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper set on the module, as a tracer does, sees evaluate's call
+        calls = []
+        omega6 = approx.omega6
+        monkeypatch.setattr(approx, "omega6", lambda g: calls.append(g) or omega6(g))
+        gs = np.array([0.5, 2.0, 7.0])
+        values = approx.evaluate(gs, ["ber6"])["ber6"]
+        assert len(calls) == 1 and calls[0].tolist() == gs.tolist()
+        monkeypatch.undo()
+        assert values.tolist() == approx.evaluate(gs, ["ber6"])["ber6"].tolist()
+
     def test_weights_accept_arrays(self):
         gs = np.array([0.5, 1.0, 4.0, 5.0, 8.0, 20.0])
         for omega in (approx.omega5, approx.omega6, approx.omega7):

@@ -1,5 +1,9 @@
 import decimal
 import math
+import os
+import shlex
+import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +328,52 @@ class TestOutFile:
         assert (target / "inside").read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
 
+    def test_new_file_mode_follows_umask(self, tmp_path, capsys):
+        target = tmp_path / "t.csv"
+        old = os.umask(0o022)
+        try:
+            assert cli.main(["--out", str(target), "table", "1"]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+    def test_overwrite_keeps_mode(self, tmp_path, capsys):
+        target = tmp_path / "t.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        for which in ("1", "2"):
+            assert cli.main(["--out", str(target), "table", which]) == 0
+            assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert target.read_text().startswith("gamma_db,ber4,")
+
+    def test_temp_name_clash_is_retried_a_bounded_number_of_times(self, tmp_path, monkeypatch, capsys):
+        taken = tmp_path / ".dqpskber-0000000000000000.tmp"
+        taken.write_text("kept\n")
+        target = tmp_path / "t.csv"
+        names = iter([b"\0" * 8, b"\0" * 8, b"\1" * 8])
+        monkeypatch.setattr(os, "urandom", lambda n: next(names))
+        assert cli.main(["--out", str(target), "table", "1"]) == 0
+        monkeypatch.setattr(os, "urandom", lambda n: b"\0" * n)
+        code, out, err = _run(capsys, "--out", str(target), "table", "2")
+        assert (code, out) == (1, "") and "File exists" in err
+        assert target.read_text().startswith("gamma_db,ber,") and taken.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "t.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_target_is_written_in_place(self, tmp_path, capsys):
+        _, stdout_text, _ = _run(capsys, "table", "1")
+        target = tmp_path / "out.csv"
+        os.mkfifo(target)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(target.read_bytes()), daemon=True)
+        reader.start()
+        code = cli.main(["--out", str(target), "table", "1"])
+        reader.join(timeout=10)
+        assert code == 0 and not reader.is_alive()
+        assert got == [stdout_text.encode()]
+        assert stat.S_ISFIFO(target.lstat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
     @pytest.mark.skipif(cli._renameat2() is None, reason="no renameat2 in this C library")
     def test_exchange_swaps_two_files(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
@@ -334,6 +384,37 @@ class TestOutFile:
         assert (first.read_text(), second.read_text()) == ("2", "1")
         assert cli._exchange(str(first), str(tmp_path / "missing")) is False
         assert (first.read_text(), second.read_text()) == ("2", "1")
+
+
+class TestOutFileWithoutExchange(TestOutFile):
+    """`--out` where the C library has no renameat2: `os.replace` renames
+    the new file over the old name."""
+
+    test_exchange_swaps_two_files = None  # renameat2 itself
+
+    @pytest.fixture(autouse=True)
+    def _no_renameat2(self, monkeypatch):
+        monkeypatch.setattr(cli, "_renameat2", lambda: None)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_cli_examples() -> list[str]:
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("dqpsk-ber ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples(), ids=lambda line: line.split("#")[0].strip())
+def test_readme_cli_example_exits_0(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line, comments=True)
+    assert cli.main(argv[1:]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_readme_lists_cli_examples():
+    assert len(_readme_cli_examples()) >= 8
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
