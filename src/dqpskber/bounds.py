@@ -169,16 +169,6 @@ def _scale(g: np.ndarray) -> np.ndarray:
     return np.exp(-g * _A_HI) * np.exp(-g * _A_LO)
 
 
-@functools.lru_cache(maxsize=128)  # n <= 636, as `_exact` clamps g: at most 5 KB a table
-def _nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """u and the trapezoid weights of `_exact` on n nodes, read-only."""
-    k = np.arange(n // 2 + 1)
-    u = 2.0 * np.sin(k * (math.pi / n)) ** 2
-    weights = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / (2 * n * (_SQRT2 - 1.0 + u))
-    u.flags.writeable = weights.flags.writeable = False
-    return u, weights
-
-
 def _exact(g: np.ndarray) -> np.ndarray:
     """Trapezoid sum of the single-angle form on N = 64 + 16 sqrt(max g) nodes.
 
@@ -189,7 +179,10 @@ def _exact(g: np.ndarray) -> np.ndarray:
     halves the work.
     """
     g = np.fmin(g, _G_UNDERFLOW)
-    u, weights = _nodes(2 * math.ceil(32.0 + 8.0 * math.sqrt(g.max(initial=0.0))))
+    n = 2 * math.ceil(32.0 + 8.0 * math.sqrt(g.max(initial=0.0)))
+    k = np.arange(n // 2 + 1)
+    u = 2.0 * np.sin(k * (math.pi / n)) ** 2
+    weights = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / (2 * n * (_SQRT2 - 1.0 + u))
     total = np.empty_like(g)
     rows = max(1, _BLOCK // u.size)
     for lo in range(0, g.size, rows):

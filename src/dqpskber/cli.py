@@ -53,18 +53,29 @@ _ROWS = 4096
 _POW10 = np.array([float(f"1e{k}") for k in range(-330, 331)])
 
 
-def _words(texts: list[str]) -> np.ndarray:
-    # ASCII texts of up to 8 bytes as little-endian words, NUL-padded
-    return np.array(texts, dtype="S8").view("<u8")
+def _tables() -> tuple[np.ndarray, ...]:
+    """The word tables of `_cells`: 8 ASCII bytes a word, NUL-padded, in
+    the host's byte order, so an OR of two words keeps every byte in place.
+
+    A cell with sign bit s, six-digit mantissa m and exponent e is two
+    words: _HEAD[m // 1000], with _MINUS ORed in where s is set, holds ","
+    and the first three digits as "d.dd"; _TAIL[m % 1000] | _EXP[e + 330]
+    the last three, then "e" and the exponent with its sign (2 or 3 digits).
+    """
+    digits = np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")  # "%03d" % k
+    head, minus, tail = np.zeros((1000, 8), np.uint8), np.zeros((1, 8), np.uint8), np.zeros((1000, 8), np.uint8)
+    head[:, 0], head[:, 3], head[:, [2, 4, 5]] = ord(","), ord("."), digits
+    minus[0, 1] = ord("-")
+    tail[:, :3] = digits
+    e = np.arange(-330, 331)
+    exp = np.zeros((e.size, 8), np.uint8)
+    exp[:, 3], exp[:, 4], exp[:, 5:] = ord("e"), np.where(e < 0, ord("-"), ord("+")), digits[abs(e)]
+    narrow = abs(e) < 100  # two exponent digits: drop the leading 0
+    exp[narrow, 5:7], exp[narrow, 7] = exp[narrow, 6:], 0
+    return tuple(t.view(np.uint64).ravel() for t in (head, minus, tail, exp))
 
 
-# A cell with sign bit s, six-digit mantissa m and exponent e is two words:
-# _HEAD[1000 s + m // 1000] holds ",", "-" or NUL, and the first three
-# digits as "d.dd"; _TAIL[m % 1000] | _EXP[e + 330] the last three, then
-# "e" and the exponent with its sign.
-_HEAD = _words([f",{s}{m // 100}.{m % 100:02d}" for s in ("\0", "-") for m in range(1000)])
-_TAIL = _words([f"{m:03d}" for m in range(1000)])
-_EXP = _words([f"\0\0\0e{e:+03d}" for e in range(-330, 331)])
+_HEAD, _MINUS, _TAIL, _EXP = _tables()
 
 
 def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,8 +106,9 @@ def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r[zero] = 0.0  # 0.00000e+00
     e += top
     head, tail = np.divmod(r.astype(np.int64), 1000)
-    head += np.signbit(values) * 1000
-    cells = np.stack([_HEAD[head], _TAIL[tail] | _EXP[e.astype(np.int64) + 330]], axis=-1)
+    first = _HEAD.take(head, mode="clip")  # r > 1e6 (unproven) runs past the table
+    first[np.signbit(values)] |= _MINUS
+    cells = np.stack([first, _TAIL[tail] | _EXP[e.astype(np.int64) + 330]], axis=-1)
     return cells.view(np.uint8), ok
 
 
@@ -291,7 +303,7 @@ def _emit(text: str, out_path: str | None) -> None:
     data = text.encode()
     try:
         mode = os.stat(out_path).st_mode
-    except FileNotFoundError:
+    except OSError:  # missing, a symlink loop, ...: the temp file or rename reports real faults
         mode = 0
     if mode and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
         fd = os.open(out_path, os.O_WRONLY | getattr(os, "O_CLOEXEC", 0))

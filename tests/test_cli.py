@@ -318,6 +318,15 @@ class TestOutFile:
         assert not target.is_symlink() and target.read_text() == stdout_text
         assert linked.read_text() == "kept\n"
 
+    def test_looping_symlink_is_replaced(self, tmp_path, capsys):
+        _, stdout_text, _ = _run(capsys, "table", "1")
+        target = tmp_path / "t.csv"
+        target.symlink_to("t.csv")
+        assert cli.main(["--out", str(target), "table", "1"]) == 0
+        capsys.readouterr()
+        assert not target.is_symlink() and target.read_text() == stdout_text
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
     def test_directory_target_is_domain_error(self, tmp_path, capsys):
         target = tmp_path / "d"
         target.mkdir()
@@ -395,6 +404,17 @@ class TestOutFileWithoutExchange(TestOutFile):
     @pytest.fixture(autouse=True)
     def _no_renameat2(self, monkeypatch):
         monkeypatch.setattr(cli, "_renameat2", lambda: None)
+
+
+def test_cell_tables_hold_ascii_in_byte_order():
+    def text(table, i):
+        return table[i : i + 1].view(np.uint8).tobytes()
+
+    assert text(cli._HEAD, 123) == b",\x001.23\0\0"
+    assert text(cli._HEAD | cli._MINUS, 0) == b",-0.00\0\0"
+    assert text(cli._TAIL, 45) == b"045" + b"\0" * 5
+    assert text(cli._EXP, 330 - 7) == b"\0\0\0e-07\0"
+    assert text(cli._EXP, 330 + 307) == b"\0\0\0e+307"
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
