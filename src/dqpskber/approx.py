@@ -146,17 +146,20 @@ def evaluate(gamma_lin, columns) -> dict[str, np.ndarray]:
         if want - {"w5", "w6", "w7"}:
             out.update(bounds._columns(g, problems))
             a, b, ive, e, big_e, q1, q2 = (out[k] for k in ("a", "b", "ive", "e", "big_e", "exp_ab", "exp_2ab"))
-            lam = solve_rho0().lambda0
-            # ber1..ber4: the closed forms in the docstrings of the scalar functions
-            out["ber1"] = _SQRT_PI_8 * (a + b) * ive * e
-            out["ber2"] = _SQRT_PI_8 * ive * big_e * ((a + b) - (a - b) * q2) / (1.0 - q2 * q2)
-            out["ber3"] = _SQRT_PI_8 * ive * (b * big_e / (1.0 - q2) + a * e / (1.0 + lam * q1))
-            head = np.exp(-0.5 * (b + a) ** 2) / np.sqrt(8.0 * math.pi * a * b)
-            out["ber4"] = head + 0.25 * (np.sqrt(a / b) + np.sqrt(b / a)) * big_e
+            # ber1..ber4, each only when requested: the closed forms in the
+            # docstrings of the scalar functions
+            if "ber1" in want:
+                out["ber1"] = _SQRT_PI_8 * (a + b) * ive * e
+            if "ber2" in want:
+                out["ber2"] = _SQRT_PI_8 * ive * big_e * ((a + b) - (a - b) * q2) / (1.0 - q2 * q2)
+            if "ber3" in want:
+                out["ber3"] = _SQRT_PI_8 * ive * (b * big_e / (1.0 - q2) + a * e / (1.0 + solve_rho0().lambda0 * q1))
             if "ber4" in want:
+                head = np.exp(-0.5 * (b + a) ** 2) / np.sqrt(8.0 * math.pi * a * b)
+                out["ber4"] = head + 0.25 * (np.sqrt(a / b) + np.sqrt(b / a)) * big_e
                 bounds._require(problems, g, g >= 1e-12, "gamma too small for ber4 (diverges as gamma -> 0)")
             for k, (lower, upper) in _WEIGHTED.items():
-                if "w" + k in out:
+                if want & {"ber" + k, "eps" + k}:
                     out["ber" + k] = weighted_mean(out[lower], out[upper], out["w" + k])
         if want & {"exact", "eps5", "eps6", "eps7"}:
             exact = out["exact"] = bounds._exact(g)

@@ -3,8 +3,14 @@
 Subcommands: ``table {1|2|3}`` (reference tables on the integer SNR grid
 1..12), ``sweep`` (arbitrary SNR grids for figure data), ``mc`` (the
 Monte-Carlo oracle vs the exact value), and ``constants`` (the root and
-sharp constant behind the best upper bound). ``--out PATH`` writes the
-CSV atomically instead of printing it.
+sharp constant behind the best upper bound). ``--out PATH``, given before
+the command, writes the CSV atomically instead of printing it.
+
+Command line: ``[--out PATH] COMMAND ...``, parsed by the `_COMMANDS`
+table. An option is ``--name VALUE`` or ``--name=VALUE``, where VALUE is
+the next token verbatim (``--start -1e1`` works) and a unique prefix of
+the name will do; a repeated option keeps its last value. ``-h`` or
+``--help`` in place of an option prints the usage.
 
 Note on the table grid: the reference tabulation these tables reproduce
 indexes rows by LINEAR SNR 1..12 even though its grid column is
@@ -14,12 +20,12 @@ convention (column name ``gamma_db``, rows evaluated at linear SNR).
 
 CSV dialect: comma-separated, ``.`` decimal point, LF line endings,
 header always present, 6 significant digits in lowercase scientific
-notation. Exit status: 0 success, 1 domain error, 2 usage error.
+notation. Exit status: 0 success, 1 domain error, 2 usage error; each
+error is one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
@@ -153,6 +159,8 @@ def cmd_sweep(start: float, stop: float, step: float, scale: str, columns: list[
     """CSV over an inclusive SNR grid; scale selects db or linear grid values."""
     if not columns:
         raise ValueError("column list must not be empty")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("start, stop and step must be finite")
     if not start < stop:
         raise ValueError("start must be < stop")
     if not step > 0.0:
@@ -207,43 +215,78 @@ def cmd_constants() -> str:
 
 
 def _parse_columns(text: str) -> list[str]:
-    columns = [c.strip() for c in text.split(",") if c.strip()]
-    if not columns:
-        raise argparse.ArgumentTypeError("column list must not be empty")
-    unknown = [c for c in columns if c not in approx.COLUMNS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown columns {unknown!r}; valid: {', '.join(approx.COLUMNS)}"
-        )
+    columns = text.split(",")
+    if not approx._KNOWN.issuperset(columns):  # blanks, spaces or unknown names
+        columns = [c.strip() for c in columns if c.strip()]
+        unknown = [c for c in columns if c not in approx._KNOWN]
+        if unknown or not columns:
+            raise ValueError(f"unknown columns {unknown!r}; valid: {', '.join(approx.COLUMNS)}" if unknown else "column list must not be empty")
     return list(dict.fromkeys(columns))
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dqpsk-ber",
-        description="Exact DQPSK/AWGN bit error rate, bounds, approximations, and a Monte-Carlo oracle (CSV output).",
-    )
-    parser.add_argument("--out", metavar="PATH", default=None, help="write CSV to PATH (atomic) instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line `[--out PATH] COMMAND ...`: each command's help line and
+# arguments, name -> (converter, metavar); a metavar {a,b} lists the only
+# values allowed. A name without `--` is a positional. Every argument but
+# --out is required.
+_COMMANDS = {
+    "table": ("reference tables on the integer SNR grid 1..12", {"which": (int, "{1,2,3}")}),
+    "sweep": ("evaluate selected columns over an SNR grid", {"--start": (float, "FLOAT"), "--stop": (float, "FLOAT"),
+              "--step": (float, "FLOAT"), "--scale": (str, "{db,linear}"), "--cols": (_parse_columns, "LIST")}),
+    "mc": ("run the Monte-Carlo oracle at one SNR", {"--snr-db": (float, "FLOAT"), "--symbols": (int, "INT"), "--seed": (int, "INT")}),
+    "constants": ("emit the root and sharp constant with residual", {}),
+}
+_TOP = {"--out": (str, "PATH"), "command": (str, "{%s}" % ",".join(_COMMANDS))}
 
-    p_table = sub.add_parser("table", help="reference tables on the integer SNR grid 1..12")
-    p_table.add_argument("which", type=int, choices=(1, 2, 3))
 
-    p_sweep = sub.add_parser("sweep", help="evaluate selected columns over an SNR grid")
-    p_sweep.add_argument("--start", type=float, required=True)
-    p_sweep.add_argument("--stop", type=float, required=True)
-    p_sweep.add_argument("--step", type=float, required=True)
-    p_sweep.add_argument("--scale", choices=("db", "linear"), required=True)
-    p_sweep.add_argument("--cols", type=_parse_columns, required=True, metavar="LIST")
+def _help(command: str | None) -> str:
+    """The `--help` text of `command`, or of every command."""
+    text = "usage: dqpsk-ber [--out PATH] COMMAND ...\n\nExact DQPSK bit error rate, bounds and approximations as CSV.\n\ncommands:\n"
+    for name in [command] if command else _COMMANDS:
+        words = [name] + [f"{arg} {meta}" if arg[0] == "-" else meta for arg, (_, meta) in _COMMANDS[name][1].items()]
+        text += f"  {' '.join(words)}\n      {_COMMANDS[name][0]}\n"
+    return text
 
-    p_mc = sub.add_parser("mc", help="run the Monte-Carlo oracle at one SNR")
-    p_mc.add_argument("--snr-db", type=float, required=True)
-    p_mc.add_argument("--symbols", type=int, required=True)
-    p_mc.add_argument("--seed", type=int, required=True)
 
-    sub.add_parser("constants", help="emit the root and sharp constant with residual")
-    return parser
+def _usage_error(message: str):
+    """Report a usage error in one line and exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse(argv: list[str]) -> dict:
+    """`argv` by `_TOP`, then by the table of its command: each argument by
+    name, "--out" None if not given. A usage error exits 2, -h/--help 0."""
+    args, spec, tokens = {"--out": None}, _TOP, iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):  # the next positional
+            name, eq, value = next((n for n in spec if n[0] != "-" and n not in args), None), "=", token
+            if name is None:
+                _usage_error(f"unrecognized argument: {token}")
+        elif token in spec:  # --name VALUE, the common case
+            name, eq, value = token, "", None
+        else:
+            name, eq, value = token.partition("=")
+            if name not in spec:  # -h, or a prefix
+                names = [n for n in (*spec, "--help") if n.startswith(name)] if name[2:] else []
+                if token == "-h" or names == ["--help"]:
+                    sys.stdout.write(_help(args.get("command")))
+                    raise SystemExit(0)
+                if len(names) != 1:
+                    _usage_error(f"ambiguous option: {name} could match {', '.join(names)}" if names else f"unrecognized argument: {token}")
+                name = names[0]
+        if not eq and (value := next(tokens, None)) is None:
+            _usage_error(f"argument {name}: expected one argument")
+        convert, meta = spec[name]
+        if meta[0] == "{" and value not in meta[1:-1].split(","):
+            _usage_error(f"argument {name}: invalid choice: {value!r} (choose from {meta})")
+        try:
+            args[name] = convert(value)
+        except ValueError as exc:
+            _usage_error(f"argument {name}: " + (f"invalid {convert.__name__} value: {value!r}" if convert in (float, int) else str(exc)))
+        spec = _COMMANDS[value][1] if name == "command" else spec
+    if not args.keys() >= spec.keys():  # "command" is missing while spec is _TOP
+        _usage_error(f"the following arguments are required: {', '.join(n for n in spec if n not in args)}")
+    return args
 
 
 # `--out` temp files: a new name only, never through a symlink, and no
@@ -331,18 +374,17 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        if args.command == "table":
-            text = cmd_table(args.which)
-        elif args.command == "sweep":
-            text = cmd_sweep(args.start, args.stop, args.step, args.scale, args.cols)
-        elif args.command == "mc":
-            text = cmd_mc(args.snr_db, args.symbols, args.seed)
+        if args["command"] == "table":
+            text = cmd_table(args["which"])
+        elif args["command"] == "sweep":
+            text = cmd_sweep(args["--start"], args["--stop"], args["--step"], args["--scale"], args["--cols"])
+        elif args["command"] == "mc":
+            text = cmd_mc(args["--snr-db"], args["--symbols"], args["--seed"])
         else:
             text = cmd_constants()
-        _emit(text, args.out)
+        _emit(text, args["--out"])
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

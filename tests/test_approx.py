@@ -355,6 +355,16 @@ class TestEvaluate:
         monkeypatch.undo()
         assert values.tolist() == approx.evaluate(gs, ["ber6"])["ber6"].tolist()
 
+    @pytest.mark.parametrize("columns, means", [(["l1", "w5"], 0), (["eps6"], 1), (["ber5", "eps5", "w7"], 1),
+                                                (approx.COLUMNS, 3)])
+    def test_weighted_means_only_when_requested(self, monkeypatch, columns, means):
+        # ber<k> is computed for ber<k> or eps<k> only, not for w<k> alone
+        calls = []
+        weighted_mean = approx.weighted_mean
+        monkeypatch.setattr(approx, "weighted_mean", lambda *args: calls.append(args) or weighted_mean(*args))
+        approx.evaluate(np.array([0.5, 2.0, 7.0]), columns)
+        assert len(calls) == means
+
     def test_weights_accept_arrays(self):
         gs = np.array([0.5, 1.0, 4.0, 5.0, 8.0, 20.0])
         for omega in (approx.omega5, approx.omega6, approx.omega7):

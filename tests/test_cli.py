@@ -219,6 +219,21 @@ class TestSweep:
         assert err.startswith("error: gamma_lin = 6e+307 overflows b")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "bounds_, cols",
+        [
+            (("--start", "0", "--stop", "1", "--step", "inf"), "l1"),
+            (("--start", "0", "--stop", "1", "--step", "inf"), "w6"),
+            (("--start", "0", "--stop", "inf", "--step", "1"), "w6"),
+            (("--start", "-inf", "--stop", "1", "--step", "1"), "w6"),
+            (("--start", "nan", "--stop", "1", "--step", "1"), "l1"),
+        ],
+    )
+    def test_nonfinite_bounds_are_domain_errors(self, capsys, bounds_, cols):
+        # unchecked, step inf gave the grid [nan] and stop inf tripped the size guard
+        code, out, err = _run(capsys, "sweep", *bounds_, "--scale", "linear", "--cols", cols)
+        assert (code, out, err) == (1, "", "error: start, stop and step must be finite\n")
+
     def test_grid_size_guard(self, capsys):
         code, _, err = _run(
             capsys,
@@ -276,6 +291,105 @@ class TestConstants:
         rho_text = dict(line.split(",") for line in out.splitlines()[1:])["rho0"]
         mantissa = rho_text.split("e")[0].replace(".", "")
         assert len(mantissa) == 15
+
+
+SWEEP = ("sweep", "--start", "0.5", "--stop", "2", "--step", "0.5", "--scale", "linear", "--cols", "l1,ber5")
+NO_COLS = SWEEP[:-2]  # every sweep option but --cols
+MC = ("mc", "--snr-db", "0", "--symbols", "100000", "--seed", "7")
+
+
+# usage errors, each with the text its error line must contain
+USAGE_ERRORS = [
+    ((), "command"),
+    (("foo",), "'foo'"),
+    (("table", "4"), "which"),
+    (("table",), "which"),
+    (("table", "1", "extra"), "extra"),
+    (NO_COLS, "--cols"),
+    ((*SWEEP, "--bogus", "1"), "--bogus"),
+    (("sweep", "--start", "abc", *SWEEP[3:]), "--start"),
+    (("sweep", "--s", "1", *SWEEP[3:]), "--s"),
+    (("sweep", "--scale", "dB", *SWEEP[1:7], "--cols", "l1"), "--scale"),
+    (("mc", "--snr-db", "0", "--symbols", "1e7", "--seed", "1"), "--symbols"),
+    ((*NO_COLS, "--cols", ","), "--cols"),
+    ((*NO_COLS, "--cols", "bogus"), "--cols"),
+    (("table", "1", "--out", "x.csv"), "--out"),
+    ((*NO_COLS, "--cols"), "--cols"),
+    (("--out",), "--out"),
+    (("constants", "x"), "x"),
+    (("command", "table", "1"), "'command'"),
+    (("table", "which", "1"), "which"),
+]
+
+
+def _bugfix(name, argv, canonical):
+    # a row that argparse rejected: it took a value such as -1e1 for an option
+    return pytest.param(argv, canonical, id="verbatim-negative-" + name)
+
+
+class TestGrammar:
+    """`[--out PATH] COMMAND ...`: options as `--name VALUE` or `--name=VALUE`,
+    a unique prefix of a name, the last of a repeated option; VALUE is the
+    next token verbatim."""
+
+    @pytest.mark.parametrize(
+        "argv, canonical",
+        [
+            (("--out", "{out}", *SWEEP), SWEEP),
+            (("--out={out}", *SWEEP), SWEEP),
+            (("--o", "{out}", *SWEEP), SWEEP),
+            (("sweep", "--start=0.5", "--stop=2", "--step=0.5", "--scale=linear", "--cols=l1,ber5"), SWEEP),
+            (("sweep", "--sta", "0.5", "--sto", "2", "--ste", "0.5", "--sc", "linear", "--c", "l1,ber5"), SWEEP),
+            (("sweep", "--start", "9", *SWEEP[1:-2], "--cols", "u1", "--cols", "l1,ber5"), SWEEP),
+            (("sweep", "--cols", "l1,ber5", "--scale", "linear", "--step", "0.5", "--stop", "2", "--start", "0.5"), SWEEP),
+            (("sweep", "--start=-1e1", "--stop", "0", "--step", "5", "--scale", "db", "--cols", "l1"),
+             ("sweep", "--start", "-10", "--stop", "0", "--step", "5", "--scale", "db", "--cols", "l1")),
+            (("mc", "--seed", "7", "--symbols", "100000", "--snr-db", "0"), MC),
+            (("--out", "{out}", "table", "2"), ("table", "2")),
+            _bugfix("start", ("sweep", "--start", "-1e1", "--stop", "0", "--step", "5", "--scale", "db", "--cols", "l1"),
+                    ("sweep", "--start", "-10", "--stop", "0", "--step", "5", "--scale", "db", "--cols", "l1")),
+            _bugfix("repr", ("sweep", "--start", "-1e-05", "--stop", "1", "--step", "0.5", "--scale", "db", "--cols", "l1"),
+                    ("sweep", "--start", "-0.00001", "--stop", "1", "--step", "0.5", "--scale", "db", "--cols", "l1")),
+            _bugfix("snr-db", ("mc", "--snr-db", "-1e1", "--symbols", "100000", "--seed", "7"),
+                    ("mc", "--snr-db", "-10", "--symbols", "100000", "--seed", "7")),
+        ],
+    )
+    def test_accepted_forms_give_canonical_bytes(self, argv, canonical, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, text, err = _run(capsys, *(a.format(out=out) for a in argv))
+        assert (code, err) == (0, "")
+        if out.exists():
+            assert text == ""
+            text = out.read_text()
+        assert text == _run(capsys, *canonical)[1]
+
+    @pytest.mark.parametrize("argv, names", USAGE_ERRORS)
+    def test_usage_errors_exit_2_naming_the_argument(self, argv, names, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert "error: " in last and names in last, last
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in USAGE_ERRORS])
+    def test_usage_error_is_one_line(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit):
+            cli.main(list(argv))
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    @pytest.mark.parametrize("command", [(), ("table",), ("sweep",), ("mc",), ("constants",), SWEEP])
+    def test_help_exits_0_with_usage(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*command, flag])
+        captured = capsys.readouterr()
+        assert info.value.code == 0 and captured.err == ""
+        assert captured.out.startswith("usage:")
 
 
 class TestOutFile:

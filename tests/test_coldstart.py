@@ -1,7 +1,8 @@
 """Cold start: importing the package, the exact BER, the CLI's usage and
-its Monte-Carlo run load numpy but not scipy; the closed forms import
-scipy.special on first use, from any thread. Each check runs in a fresh
-interpreter, because the test process has scipy loaded already."""
+its Monte-Carlo run load numpy but not scipy, and the usage no argparse;
+the closed forms import scipy.special on first use, from any thread. Each
+check runs in a fresh interpreter, because the test process has scipy
+loaded already."""
 
 import dataclasses
 import json
@@ -46,11 +47,13 @@ def test_import_exact_ber_and_help_load_no_scipy():
             except SystemExit:
                 pass
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        argparse = "argparse" in sys.modules
         closed = dataclasses.astuple(approx_set(SnrPoint.from_db(6)))
-        print(json.dumps({"scipy": loaded, "usage": usage.getvalue(), "closed": closed}))
+        print(json.dumps({"scipy": loaded, "argparse": argparse, "usage": usage.getvalue(), "closed": closed}))
         """
     )
     assert got["scipy"] == []
+    assert got["argparse"] is False
     assert got["usage"].startswith("usage:")
     assert tuple(got["closed"]) == dataclasses.astuple(approx_set(SnrPoint.from_db(6)))
 
