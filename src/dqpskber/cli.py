@@ -215,12 +215,11 @@ def cmd_constants() -> str:
 
 
 def _parse_columns(text: str) -> list[str]:
-    columns = text.split(",")
-    if not approx._KNOWN.issuperset(columns):  # blanks, spaces or unknown names
-        columns = [c.strip() for c in columns if c.strip()]
-        unknown = [c for c in columns if c not in approx._KNOWN]
-        if unknown or not columns:
-            raise ValueError(f"unknown columns {unknown!r}; valid: {', '.join(approx.COLUMNS)}" if unknown else "column list must not be empty")
+    columns = [c for c in map(str.strip, text.split(",")) if c]
+    if not columns:
+        raise ValueError("column list must not be empty")
+    if unknown := [c for c in columns if c not in approx._KNOWN]:
+        raise ValueError(f"unknown columns {unknown!r}; valid: {', '.join(approx.COLUMNS)}")
     return list(dict.fromkeys(columns))
 
 
@@ -240,7 +239,8 @@ _TOP = {"--out": (str, "PATH"), "command": (str, "{%s}" % ",".join(_COMMANDS))}
 
 def _help(command: str | None) -> str:
     """The `--help` text of `command`, or of every command."""
-    text = "usage: dqpsk-ber [--out PATH] COMMAND ...\n\nExact DQPSK bit error rate, bounds and approximations as CSV.\n\ncommands:\n"
+    text = "usage: dqpsk-ber [--out PATH] COMMAND ...\n\nExact DQPSK bit error rate, bounds and approximations as CSV.\n\n"
+    text += "options:\n  --out PATH\n      write the CSV to PATH atomically instead of stdout\n\ncommands:\n"
     for name in [command] if command else _COMMANDS:
         words = [name] + [f"{arg} {meta}" if arg[0] == "-" else meta for arg, (_, meta) in _COMMANDS[name][1].items()]
         text += f"  {' '.join(words)}\n      {_COMMANDS[name][0]}\n"
@@ -258,34 +258,34 @@ def _parse(argv: list[str]) -> dict:
     name, "--out" None if not given. A usage error exits 2, -h/--help 0."""
     args, spec, tokens = {"--out": None}, _TOP, iter(argv)
     for token in tokens:
-        if not token.startswith("-"):  # the next positional
-            name, eq, value = next((n for n in spec if n[0] != "-" and n not in args), None), "=", token
-            if name is None:
-                _usage_error(f"unrecognized argument: {token}")
-        elif token in spec:  # --name VALUE, the common case
-            name, eq, value = token, "", None
-        else:
+        if token.startswith("-"):  # --name VALUE or --name=VALUE
             name, eq, value = token.partition("=")
             if name not in spec:  # -h, or a prefix
                 names = [n for n in (*spec, "--help") if n.startswith(name)] if name[2:] else []
                 if token == "-h" or names == ["--help"]:
                     sys.stdout.write(_help(args.get("command")))
                     raise SystemExit(0)
-                if len(names) != 1:
-                    _usage_error(f"ambiguous option: {name} could match {', '.join(names)}" if names else f"unrecognized argument: {token}")
+                if not names:
+                    _usage_error(f"unrecognized argument: {token}")
+                if len(names) > 1:
+                    _usage_error(f"ambiguous option: {name} could match {', '.join(names)}")
                 name = names[0]
-        if not eq and (value := next(tokens, None)) is None:
-            _usage_error(f"argument {name}: expected one argument")
+            if not eq and (value := next(tokens, None)) is None:
+                _usage_error(f"argument {name}: expected one argument")
+        else:  # the next positional
+            name, value = next((n for n in spec if n[0] != "-" and n not in args), None), token
+            if name is None:
+                _usage_error(f"unrecognized argument: {token}")
         convert, meta = spec[name]
         if meta[0] == "{" and value not in meta[1:-1].split(","):
             _usage_error(f"argument {name}: invalid choice: {value!r} (choose from {meta})")
         try:
             args[name] = convert(value)
         except ValueError as exc:
-            _usage_error(f"argument {name}: " + (f"invalid {convert.__name__} value: {value!r}" if convert in (float, int) else str(exc)))
+            _usage_error(f"argument {name}: {exc}")
         spec = _COMMANDS[value][1] if name == "command" else spec
-    if not args.keys() >= spec.keys():  # "command" is missing while spec is _TOP
-        _usage_error(f"the following arguments are required: {', '.join(n for n in spec if n not in args)}")
+    if missing := [n for n in spec if n not in args]:  # "command", while spec is still _TOP
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
     return args
 
 
