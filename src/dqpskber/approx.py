@@ -3,9 +3,11 @@
 Seven approximations: three fixed-weight means of the bracketing bounds
 (ber1, ber2, ber3, each with an equivalent closed form), one standalone
 closed form (ber4), and three variable-weight means (ber5, ber6, ber7)
-driven by the piecewise weight functions omega5..omega7. `evaluate`
-computes any of the 19 sweep columns (`COLUMNS`) over an array of SNRs
-in one call; the scalar functions are thin wrappers over it.
+driven by the piecewise weight functions omega5..omega7. `_FORMULAS`
+extends the table of `bounds` with the weights, the approximations and
+eps5..eps7; `evaluate` computes any of the 19 sweep columns (`COLUMNS`)
+over an array of SNRs in one call, and only the entries they need. The
+scalar functions read the same table at one SNR.
 
 Weight-argument convention: the weight functions take the LINEAR bit
 SNR. This was fixed empirically by evaluating the relative errors of
@@ -123,8 +125,37 @@ def omega7(gamma):
     return _like(gamma, w.reshape(g.shape))
 
 
-# k -> the lower and upper bound that omega<k> weighs
-_WEIGHTED = {"5": ("l1", "u1"), "6": ("l2", "u2"), "7": ("l2", "u3")}
+def _ber4(r) -> np.ndarray:
+    a, b = r["a"], r["b"]
+    head = np.exp(-0.5 * (b + a) ** 2) / np.sqrt(8.0 * math.pi * a * b)
+    ber4 = head + 0.25 * (np.sqrt(a / b) + np.sqrt(b / a)) * r["big_e"]
+    return r.check(ber4, r["g"] >= 1e-12, "gamma too small for ber4 (diverges as gamma -> 0)")
+
+
+# The table of `bounds` plus every column built on it: the closed forms in
+# the docstrings of the scalar functions below. The weights read the
+# unchecked "gamma", as omega6 and omega7 are defined at 0; they and
+# weighted_mean are looked up at each call, so a wrapper set on the module
+# sees it. eps<k> reads "exact>0", the exact BER once checked, after ber<k>.
+_FORMULAS = {
+    **bounds._FORMULAS,
+    "w5": lambda r: omega5(r["gamma"]),
+    "w6": lambda r: omega6(r["gamma"]),
+    "w7": lambda r: omega7(r["gamma"]),
+    "ber1": lambda r: _SQRT_PI_8 * (r["a"] + r["b"]) * r["ive"] * r["e"],
+    "ber2": lambda r: (_SQRT_PI_8 * r["ive"] * r["big_e"] * ((r["a"] + r["b"]) - (r["a"] - r["b"]) * r["exp_2ab"])
+                       / (1.0 - r["exp_2ab"] * r["exp_2ab"])),
+    "ber3": lambda r: (_SQRT_PI_8 * r["ive"] * (r["b"] * r["big_e"] / (1.0 - r["exp_2ab"])
+                                                + r["a"] * r["e"] / (1.0 + solve_rho0().lambda0 * r["exp_ab"]))),
+    "ber4": _ber4,
+    "ber5": lambda r: weighted_mean(r["l1"], r["u1"], r["w5"]),
+    "ber6": lambda r: weighted_mean(r["l2"], r["u2"], r["w6"]),
+    "ber7": lambda r: weighted_mean(r["l2"], r["u3"], r["w7"]),
+    "exact>0": lambda r: r.check(r["exact"], r["exact"] > 0.0, "exact must be positive"),
+    "eps5": lambda r: (r["ber5"] - r["exact>0"]) / r["exact>0"],
+    "eps6": lambda r: (r["ber6"] - r["exact>0"]) / r["exact>0"],
+    "eps7": lambda r: (r["ber7"] - r["exact>0"]) / r["exact>0"],
+}
 
 
 def evaluate(gamma_lin, columns) -> dict[str, np.ndarray]:
@@ -133,54 +164,14 @@ def evaluate(gamma_lin, columns) -> dict[str, np.ndarray]:
     ValueError for an unknown column, and for the lowest-index SNR at which
     a requested column is undefined, with the scalar function's message.
     """
-    want = set(columns)
-    if not want <= _KNOWN:
+    if not _KNOWN.issuperset(columns):
         raise ValueError(f"unknown columns {[c for c in columns if c not in _KNOWN]!r}")
-    g = np.atleast_1d(np.asarray(gamma_lin, dtype=float))
-    out: dict[str, np.ndarray] = {}
-    problems: list = []
-    for k in _WEIGHTED:
-        if want & {"w" + k, "ber" + k, "eps" + k}:
-            out["w" + k] = globals()["omega" + k](g)  # looked up now, so a wrapper set on the module sees the call
-    with np.errstate(all="ignore"):
-        if want - {"w5", "w6", "w7"}:
-            out.update(bounds._columns(g, problems))
-            a, b, ive, e, big_e, q1, q2 = (out[k] for k in ("a", "b", "ive", "e", "big_e", "exp_ab", "exp_2ab"))
-            # ber1..ber4, each only when requested: the closed forms in the
-            # docstrings of the scalar functions
-            if "ber1" in want:
-                out["ber1"] = _SQRT_PI_8 * (a + b) * ive * e
-            if "ber2" in want:
-                out["ber2"] = _SQRT_PI_8 * ive * big_e * ((a + b) - (a - b) * q2) / (1.0 - q2 * q2)
-            if "ber3" in want:
-                out["ber3"] = _SQRT_PI_8 * ive * (b * big_e / (1.0 - q2) + a * e / (1.0 + solve_rho0().lambda0 * q1))
-            if "ber4" in want:
-                head = np.exp(-0.5 * (b + a) ** 2) / np.sqrt(8.0 * math.pi * a * b)
-                out["ber4"] = head + 0.25 * (np.sqrt(a / b) + np.sqrt(b / a)) * big_e
-                bounds._require(problems, g, g >= 1e-12, "gamma too small for ber4 (diverges as gamma -> 0)")
-            for k, (lower, upper) in _WEIGHTED.items():
-                if want & {"ber" + k, "eps" + k}:
-                    out["ber" + k] = weighted_mean(out[lower], out[upper], out["w" + k])
-        if want & {"exact", "eps5", "eps6", "eps7"}:
-            exact = out["exact"] = bounds._exact(g)
-        if want & {"eps5", "eps6", "eps7"}:
-            bounds._require(problems, g, exact > 0.0, "exact must be positive")
-            for k in _WEIGHTED:
-                if "eps" + k in want:
-                    out["eps" + k] = (out["ber" + k] - exact) / exact
-    bounds._raise_first(problems)
-    return {c: out[c] for c in columns}
-
-
-def _at(snr: SnrPoint, names: tuple) -> dict[str, float]:
-    # The named columns at one SNR point, as floats.
-    values = evaluate(np.array([snr.gamma_lin]), names)
-    return {name: float(values[name][0]) for name in names}
+    return bounds._evaluate(np.atleast_1d(np.asarray(gamma_lin, dtype=float)), columns, _FORMULAS)
 
 
 def ber1(snr: SnrPoint) -> float:
     """Midpoint of (l1, u1): sqrt(pi/8) (a+b) e^{-ab} I0(ab) e(a,b)."""
-    return _at(snr, ("ber1",))["ber1"]
+    return bounds._at(snr, ("ber1",), _FORMULAS)[0]
 
 
 def ber2(snr: SnrPoint) -> float:
@@ -188,7 +179,7 @@ def ber2(snr: SnrPoint) -> float:
 
     sqrt(pi/8) I0(ab) E(a,b) [(a+b) e^{ab} - (a-b) e^{-ab}] / (e^{2ab} - e^{-2ab}).
     """
-    return _at(snr, ("ber2",))["ber2"]
+    return bounds._at(snr, ("ber2",), _FORMULAS)[0]
 
 
 def ber3(snr: SnrPoint) -> float:
@@ -196,7 +187,7 @@ def ber3(snr: SnrPoint) -> float:
 
     sqrt(pi/8) I0(ab) [b E(a,b)/(e^{ab} - e^{-ab}) + a e(a,b)/(e^{ab} + lambda0)].
     """
-    return _at(snr, ("ber3",))["ber3"]
+    return bounds._at(snr, ("ber3",), _FORMULAS)[0]
 
 
 def ber4(snr: SnrPoint) -> float:
@@ -205,22 +196,22 @@ def ber4(snr: SnrPoint) -> float:
     Diverges like 1/sqrt(ab) as gamma -> 0; inputs below 1e-12 linear are
     rejected.
     """
-    return _at(snr, ("ber4",))["ber4"]
+    return bounds._at(snr, ("ber4",), _FORMULAS)[0]
 
 
 def ber5(snr: SnrPoint) -> float:
     """Variable-weight mean omega5 l1 + (1 - omega5) u1."""
-    return _at(snr, ("ber5",))["ber5"]
+    return bounds._at(snr, ("ber5",), _FORMULAS)[0]
 
 
 def ber6(snr: SnrPoint) -> float:
     """Variable-weight mean omega6 l2 + (1 - omega6) u2."""
-    return _at(snr, ("ber6",))["ber6"]
+    return bounds._at(snr, ("ber6",), _FORMULAS)[0]
 
 
 def ber7(snr: SnrPoint) -> float:
     """Variable-weight mean omega7 l2 + (1 - omega7) u3."""
-    return _at(snr, ("ber7",))["ber7"]
+    return bounds._at(snr, ("ber7",), _FORMULAS)[0]
 
 
 def relative_error(approx: float, exact: float) -> float:
@@ -232,4 +223,4 @@ def relative_error(approx: float, exact: float) -> float:
 
 def approx_set(snr: SnrPoint) -> ApproxSet:
     """All seven approximations and eps5..eps7 from one consistent evaluation."""
-    return ApproxSet(**_at(snr, tuple(f.name for f in fields(ApproxSet))))
+    return ApproxSet(*bounds._at(snr, tuple(f.name for f in fields(ApproxSet)), _FORMULAS))

@@ -13,8 +13,10 @@ converges geometrically (Trefethen and Weideman, SIAM Review 56(3), 2014);
 the Marcum Q routes in `specfun` stay as cross-checks. The exact BER and
 the two lower bounds (l1, l2) and three upper bounds (u1, u2, u3) that
 bracket it are evaluated over arrays of SNRs, in exponentially scaled
-arithmetic so results stay finite far beyond any tabulated range; the
-scalar functions wrap those kernels.
+arithmetic so results stay finite far beyond any tabulated range. Each
+array is one entry of the formula table `_FORMULAS`, which a `_Resolver`
+computes on first use, so a call pays only for what it asks; the scalar
+functions read the table at one SNR through `_at`.
 
 The sharp constant in u3 is computed on first use by solving
 (x + 1) I1(x) = x I0(x); the solver result is cached and also exercised
@@ -109,7 +111,7 @@ class BoundSet:
 
     l1 = I0(ab) [sqrt(pi/2) b e(a,b)/e^{ab} - (1/2) e^{-(a^2+b^2)/2}]; u1 swaps
     b for a and adds the second term; l2, u2, u3 use b E(a,b)/(e^{ab} - e^{-ab}),
-    a E(a,b)/(e^{ab} + e^{-ab}) and a e(a,b)/(e^{ab} + lambda0) (see `_columns`).
+    a E(a,b)/(e^{ab} + e^{-ab}) and a e(a,b)/(e^{ab} + lambda0) (see `_FORMULAS`).
     """
 
     l1: float
@@ -169,8 +171,8 @@ def _scale(g: np.ndarray) -> np.ndarray:
     return np.exp(-g * _A_HI) * np.exp(-g * _A_LO)
 
 
-def _exact(g: np.ndarray) -> np.ndarray:
-    """Trapezoid sum of the single-angle form on N = 64 + 16 sqrt(max g) nodes.
+def _exact(g: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Trapezoid sum of the single-angle form on N = 64 + 16 sqrt(max g) nodes, times `scale` = `_scale(g)`.
 
     With u = 1 + sin t the integrand is
     exp(-g (2 - sqrt 2)) exp(-g sqrt2 u) / (sqrt2 - 1 + u). Nodes
@@ -187,70 +189,96 @@ def _exact(g: np.ndarray) -> np.ndarray:
     rows = max(1, _BLOCK // u.size)
     for lo in range(0, g.size, rows):
         total[lo : lo + rows] = np.exp(-np.multiply.outer(g[lo : lo + rows] * _SQRT2, u)) @ weights
-    return _scale(g) * total
+    return scale * total
 
 
-def _require(problems: list, g: np.ndarray, ok: np.ndarray, message: str) -> None:
-    """Record the first row where `ok` fails; `message` may hold one {} for its SNR."""
-    if not ok.all():
-        bad = int(np.flatnonzero(~ok)[0])
-        problems.append((bad, message.format(g[bad])))
+def _special(r):
+    # scipy.special, imported on first use: the exact BER needs numpy only
+    import scipy.special
+
+    return scipy.special
 
 
-def _raise_first(problems: list) -> None:
-    """ValueError for the lowest recorded row, so a sweep reports its first offending point."""
-    if problems:
-        raise ValueError(min(problems, key=lambda problem: problem[0])[1])
+class _Resolver(dict):
+    """The entries of a formula table at one array of SNRs, "gamma": each
+    is computed on first use, as `table[name](self)`, and then kept."""
+
+    __slots__ = ("table", "problems")
+
+    def __init__(self, gamma: np.ndarray, table: dict):
+        self["gamma"] = gamma
+        self.table = table
+        self.problems: list = []
+
+    def __missing__(self, name: str) -> np.ndarray:
+        value = self[name] = self.table[name](self)
+        return value
+
+    def check(self, value: np.ndarray, ok: np.ndarray, message: str) -> np.ndarray:
+        """`value`, once the first row where `ok` fails, if any, is recorded; `message` may hold one {} for its SNR."""
+        if np.count_nonzero(ok) < ok.size:  # cheaper than ok.all() on short arrays
+            bad = int(np.flatnonzero(~ok)[0])
+            self.problems.append((bad, message.format(self["gamma"][bad])))
+        return value
 
 
-def _columns(g: np.ndarray, problems: list) -> dict[str, np.ndarray]:
-    """a, b, the scaled pieces every closed form shares, and the five bounds.
-
-    Reciprocals of e^{ab} +- e^{-ab} and e^{ab} + lambda0 are evaluated as
-    e^{-ab}/(1 +- e^{-2ab}) and e^{-ab}/(1 + lambda0 e^{-ab}) so every member
-    stays finite at any SNR. Rows outside the domain go to `problems`.
-    """
-    from scipy.special import erfcx, i0e  # deferred: `_exact` needs numpy only
-    _require(problems, g, (g > 0.0) & (g < math.inf), "gamma_lin must be positive and finite")
-    a = np.sqrt(g * _A_COEF)
-    b = np.sqrt(g * _B_COEF)
-    _require(problems, g, np.isfinite(b), "gamma_lin = {:g} overflows b = sqrt(gamma (2 + sqrt 2))")
-    ab = a * b
-    ive = i0e(ab)
-    exp_ab, exp_2ab = np.exp(-ab), np.exp(-2.0 * ab)
+# The exact BER, the five bounds and what they share, name -> formula over
+# a `_Resolver` r. A domain check is part of the entry it guards: "g" is
+# "gamma" once checked, and every formula but the weights' reads the SNR
+# from "g", so its check is always recorded first. Reciprocals of
+# e^{ab} +- e^{-ab} and e^{ab} + lambda0 are evaluated as
+# e^{-ab}/(1 +- e^{-2ab}) and e^{-ab}/(1 + lambda0 e^{-ab}) so every bound
+# stays finite at any SNR.
+_FORMULAS = {
+    # log(gamma) is finite exactly where 0 < gamma < inf: two ufuncs instead of three
+    "g": lambda r: r.check(r["gamma"], np.isfinite(np.log(r["gamma"])), "gamma_lin must be positive and finite"),
+    "a": lambda r: np.sqrt(r["g"] * _A_COEF),
+    "b": lambda r: r.check(b := np.sqrt(r["g"] * _B_COEF), np.isfinite(b), "gamma_lin = {:g} overflows b = sqrt(gamma (2 + sqrt 2))"),
+    "ab": lambda r: r["a"] * r["b"],
+    "special": _special,
+    "ive": lambda r: r["special"].i0e(r["ab"]),
+    "exp_ab": lambda r: np.exp(-r["ab"]),
+    "exp_2ab": lambda r: np.exp(-2.0 * r["ab"]),
+    "scale": lambda r: _scale(r["g"]),
     # erfc(x) = erfcx(x) exp(-x^2), with the exponents taken exactly:
     # (b-a)^2/2 = g (2 - sqrt 2) and (b+a)^2/2 = (b-a)^2/2 + 2ab. Rounding
     # them in double instead costs ~1e-13 relative at 30 dB.
-    scale = _scale(g)
-    tail = erfcx((b - a) / _SQRT2)
-    e = scale * tail
-    big_e = scale * (tail - exp_2ab * erfcx((b + a) / _SQRT2))
+    "tail": lambda r: r["special"].erfcx((r["b"] - r["a"]) / _SQRT2),
+    "e": lambda r: r["scale"] * r["tail"],
+    "big_e": lambda r: r["scale"] * (r["tail"] - r["exp_2ab"] * r["special"].erfcx((r["b"] + r["a"]) / _SQRT2)),
     # (1/2) I0(ab) exp(-(a^2+b^2)/2), via (a^2+b^2)/2 - ab = (b-a)^2/2
-    half = 0.5 * ive * scale
-    common = _HALF_PI_SQRT * ive
-    lam = solve_rho0().lambda0
-    return dict(
-        a=a, b=b, ive=ive, e=e, big_e=big_e, exp_ab=exp_ab, exp_2ab=exp_2ab,
-        l1=common * b * e - half,
-        l2=common * b * big_e / (1.0 - exp_2ab) - half,
-        u1=common * a * e + half,
-        u2=common * a * big_e / (1.0 + exp_2ab) + half,
-        u3=common * a * e / (1.0 + lam * exp_ab) + half,
-    )
+    "half": lambda r: 0.5 * r["ive"] * r["scale"],
+    "common": lambda r: _HALF_PI_SQRT * r["ive"],
+    "exact": lambda r: _exact(r["g"], r["scale"]),
+    "l1": lambda r: r["common"] * r["b"] * r["e"] - r["half"],
+    "l2": lambda r: r["common"] * r["b"] * r["big_e"] / (1.0 - r["exp_2ab"]) - r["half"],
+    "u1": lambda r: r["common"] * r["a"] * r["e"] + r["half"],
+    "u2": lambda r: r["common"] * r["a"] * r["big_e"] / (1.0 + r["exp_2ab"]) + r["half"],
+    "u3": lambda r: r["common"] * r["a"] * r["e"] / (1.0 + solve_rho0().lambda0 * r["exp_ab"]) + r["half"],
+}
 
 
-def _at(snr: SnrPoint, names: tuple) -> dict[str, float]:
-    # The named `_columns` at one SNR point, as floats.
-    problems: list = []
+def _evaluate(gamma: np.ndarray, names, table: dict) -> dict[str, np.ndarray]:
+    """The named entries of `table` over the SNRs `gamma`; ValueError for
+    the lowest row where a check they need fails, so a sweep reports its
+    first offending point."""
+    r = _Resolver(gamma, table)
     with np.errstate(all="ignore"):
-        values = _columns(np.array([snr.gamma_lin]), problems)
-    _raise_first(problems)
-    return {name: float(values[name][0]) for name in names}
+        values = {name: r[name] for name in names}
+    if r.problems:
+        raise ValueError(min(r.problems, key=lambda problem: problem[0])[1])
+    return values
+
+
+def _at(snr: SnrPoint, names: tuple, table: dict = _FORMULAS) -> list[float]:
+    # The named entries of `table` at one SNR point, as floats.
+    values = _evaluate(np.array([snr.gamma_lin]), names, table)
+    return [float(values[name][0]) for name in names]
 
 
 def channel_params(snr: SnrPoint) -> ChannelParams:
     """Map an SNR point to (a, b); b/a is the fixed constant 1 + sqrt(2)."""
-    return ChannelParams(**_at(snr, ("a", "b")))
+    return ChannelParams(*_at(snr, ("a", "b")))
 
 
 def exact_ber(snr: SnrPoint) -> float:
@@ -259,9 +287,9 @@ def exact_ber(snr: SnrPoint) -> float:
     Underflows to 0.0 at extreme SNR (beyond roughly 31 dB) where the true
     value drops out of the double range.
     """
-    return float(_exact(np.array([snr.gamma_lin]))[0])
+    return _at(snr, ("exact",))[0]
 
 
 def bound_set(snr: SnrPoint) -> BoundSet:
-    """All five bounds from one shared channel parameterization (see `_columns`)."""
-    return BoundSet(**_at(snr, ("l1", "l2", "u1", "u2", "u3")))
+    """All five bounds from one shared channel parameterization (see `_FORMULAS`)."""
+    return BoundSet(*_at(snr, ("l1", "l2", "u1", "u2", "u3")))

@@ -34,7 +34,7 @@ import sys
 
 import numpy as np
 
-from . import approx, bounds, montecarlo, specfun
+from . import approx, bounds, montecarlo
 
 _MAX_GRID_POINTS = 10**7
 
@@ -172,10 +172,6 @@ def cmd_sweep(start: float, stop: float, step: float, scale: str, columns: list[
 
     grid = [start + i * step for i in range(count)]
     gamma = [bounds.db_to_linear(x) for x in grid] if scale == "db" else grid
-    zero_ok = all(c in ("w6", "w7") for c in columns)
-    for g in gamma:
-        if g <= 0.0 and not (zero_ok and g == 0.0):
-            raise ValueError(f"grid contains gamma = {g:g}, not valid for requested columns")
     header = ",".join(["gamma_db" if scale == "db" else "gamma_lin"] + columns)
     return _csv(header, [_GAMMA % x for x in grid], np.array(gamma), columns)
 
@@ -201,10 +197,7 @@ def cmd_mc(snr_db: float, symbols: int, seed: int) -> str:
 def cmd_constants() -> str:
     """The root, the sharp constant, and the defining-equation residual."""
     consts = bounds.solve_rho0()
-    residual = abs(
-        (consts.rho0 + 1.0) * specfun.bessel_i1(consts.rho0)
-        - consts.rho0 * specfun.bessel_i0(consts.rho0)
-    )
+    residual = abs(bounds._rho_equation(consts.rho0))
     lines = [
         "name,value",
         f"rho0,{consts.rho0:.14e}",

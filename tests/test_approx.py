@@ -365,6 +365,31 @@ class TestEvaluate:
         approx.evaluate(np.array([0.5, 2.0, 7.0]), columns)
         assert len(calls) == means
 
+    @pytest.mark.parametrize("columns, scales, special", [(["exact"], 1, 0), (["l1"], 1, 2), (["w5", "w6", "w7"], 0, 0),
+                                                          (["eps6"], 1, 3), (approx.COLUMNS, 1, 3)])
+    def test_work_per_call(self, monkeypatch, columns, scales, special):
+        # `_scale` runs once per call whatever the columns, and the exact BER
+        # and the weights call no scipy.special function
+        import scipy.special
+
+        calls = []
+        for module, name in ((bounds, "_scale"), (scipy.special, "erfcx"), (scipy.special, "i0e")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, original=original: calls.append(name) or original(*args))
+        approx.evaluate(np.array([0.5, 2.0, 7.0]), columns)
+        assert calls.count("_scale") == scales
+        assert calls.count("erfcx") + calls.count("i0e") == special
+
+    def test_table_has_no_dead_formulas(self):
+        # every column is an entry, and every entry is needed by some column
+        reached = set()
+        for column in approx.COLUMNS:
+            resolver = bounds._Resolver(np.array([0.5, 2.0, 7.0]), approx._FORMULAS)
+            resolver[column]
+            reached |= resolver.keys()
+        assert set(approx.COLUMNS) <= set(approx._FORMULAS)
+        assert reached - {"gamma"} == set(approx._FORMULAS)
+
     def test_weights_accept_arrays(self):
         gs = np.array([0.5, 1.0, 4.0, 5.0, 8.0, 20.0])
         for omega in (approx.omega5, approx.omega6, approx.omega7):

@@ -118,22 +118,20 @@ class TestSweep:
         assert len(lines) == 22
 
     def test_weight_needing_positive_snr_rejected_at_zero(self, capsys):
-        code, _, err = _run(
+        code, out, err = _run(
             capsys,
             "sweep", "--start", "0", "--stop", "2", "--step", "0.5",
             "--scale", "linear", "--cols", "w5",
         )
-        assert code == 1
-        assert "gamma" in err
+        assert (code, out, err) == (1, "", "error: gamma must be positive\n")
 
     def test_nonweight_column_rejected_at_zero(self, capsys):
-        code, _, err = _run(
+        code, out, err = _run(
             capsys,
             "sweep", "--start", "0", "--stop", "2", "--step", "0.5",
             "--scale", "linear", "--cols", "exact,w6",
         )
-        assert code == 1
-        assert "gamma" in err
+        assert (code, out, err) == (1, "", "error: gamma_lin must be positive and finite\n")
 
     def test_unknown_column_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -163,14 +161,15 @@ class TestSweep:
     def test_first_offending_row_wins_across_columns(self, capsys):
         # row 0 (gamma 1e-13) is outside ber4's domain and the rows beyond
         # ~1270 give exact = 0, so eps5 is undefined there: the error must
-        # name row 0 whatever the column order
-        code, _, err = _run(
-            capsys,
-            "sweep", "--start", "1e-13", "--stop", "2000", "--step", "100",
-            "--scale", "linear", "--cols", "eps5,ber4",
-        )
-        assert code == 1
-        assert err == "error: gamma too small for ber4 (diverges as gamma -> 0)\n"
+        # name row 0 whatever the column order, though the checks run in
+        # the order the columns ask for them
+        for cols in ("eps5,ber4", "ber4,eps5", "eps5,l1,ber4"):
+            code, out, err = _run(
+                capsys,
+                "sweep", "--start", "1e-13", "--stop", "2000", "--step", "100",
+                "--scale", "linear", "--cols", cols,
+            )
+            assert (code, out, err) == (1, "", "error: gamma too small for ber4 (diverges as gamma -> 0)\n"), cols
 
     def test_eps_beyond_double_range_is_domain_error(self, capsys):
         code, _, err = _run(

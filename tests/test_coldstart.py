@@ -1,10 +1,12 @@
-"""Cold start: importing the package, the exact BER, the CLI's usage and
-its Monte-Carlo run load numpy but not scipy, and the usage no argparse;
-the closed forms import scipy.special on first use, from any thread. Each
-check runs in a fresh interpreter, because the test process has scipy
-loaded already."""
+"""Cold start: importing the package, the exact BER (scalar, array and
+`sweep --cols exact`), the CLI's usage and its Monte-Carlo run load numpy
+but not scipy, and the usage no argparse; the closed forms import
+scipy.special on first use, from any thread. Each check runs in a fresh
+interpreter, because the test process has scipy loaded already."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -12,11 +14,14 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
+
 import dqpskber
-from dqpskber import SnrPoint, approx_set
+from dqpskber import SnrPoint, approx_set, cli, evaluate
 
 SRC = str(Path(dqpskber.__file__).resolve().parent.parent)
 GOLDEN = Path(__file__).parent / "golden"
+SWEEP_EXACT = ["sweep", "--start", "-10", "--stop", "30", "--step", "0.5", "--scale", "db", "--cols", "exact"]
 
 
 def _fresh(script: str) -> dict:
@@ -37,10 +42,14 @@ def test_import_exact_ber_and_help_load_no_scipy():
     got = _fresh(
         """
         import contextlib, dataclasses, io, json, sys
+        import numpy as np
         import dqpskber, dqpskber.cli
-        from dqpskber import SnrPoint, approx_set, exact_ber
+        from dqpskber import SnrPoint, approx_set, evaluate, exact_ber
 
         exact_ber(SnrPoint.from_db(6))
+        exact = evaluate(np.linspace(0.5, 40.0, 101), ["exact"])["exact"].tolist()
+        with contextlib.redirect_stdout(io.StringIO()) as sweep:
+            code = dqpskber.cli.main(SWEEP)
         with contextlib.redirect_stdout(io.StringIO()) as usage:
             try:
                 dqpskber.cli.main(["--help"])
@@ -49,13 +58,18 @@ def test_import_exact_ber_and_help_load_no_scipy():
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         argparse = "argparse" in sys.modules
         closed = dataclasses.astuple(approx_set(SnrPoint.from_db(6)))
-        print(json.dumps({"scipy": loaded, "argparse": argparse, "usage": usage.getvalue(), "closed": closed}))
-        """
+        print(json.dumps({"scipy": loaded, "argparse": argparse, "usage": usage.getvalue(), "closed": closed,
+                          "exact": exact, "code": code, "sweep": sweep.getvalue()}))
+        """.replace("SWEEP", repr(SWEEP_EXACT))
     )
     assert got["scipy"] == []
     assert got["argparse"] is False
     assert got["usage"].startswith("usage:")
     assert tuple(got["closed"]) == dataclasses.astuple(approx_set(SnrPoint.from_db(6)))
+    assert got["exact"] == evaluate(np.linspace(0.5, 40.0, 101), ["exact"])["exact"].tolist()
+    with contextlib.redirect_stdout(io.StringIO()) as sweep:
+        assert cli.main(SWEEP_EXACT) == got["code"] == 0
+    assert got["sweep"] == sweep.getvalue()
 
 
 def test_mc_loads_no_scipy():
