@@ -14,12 +14,9 @@ from .approx import (
     omega5,
     omega6,
     omega7,
-    relative_error,
-    weighted_mean,
 )
 from .bounds import (
     BoundSet,
-    ChannelParams,
     LambdaConstants,
     SnrPoint,
     bound_set,
@@ -28,26 +25,13 @@ from .bounds import (
     solve_rho0,
 )
 from .montecarlo import McConfig, McResult, simulate
-from .specfun import (
-    E_fn,
-    bessel_i0,
-    bessel_i0_scaled,
-    bessel_i1,
-    bessel_i1_scaled,
-    e_fn,
-    erfc,
-    marcum_q,
-    marcum_q_quad,
-    marcum_q_series,
-)
+from .specfun import bessel_i0_scaled, marcum_q_quad, marcum_q_series
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApproxSet",
     "BoundSet",
-    "ChannelParams",
-    "E_fn",
     "LambdaConstants",
     "McConfig",
     "McResult",
@@ -60,24 +44,16 @@ __all__ = [
     "ber5",
     "ber6",
     "ber7",
-    "bessel_i0",
     "bessel_i0_scaled",
-    "bessel_i1",
-    "bessel_i1_scaled",
     "bound_set",
     "channel_params",
-    "e_fn",
-    "erfc",
     "evaluate",
     "exact_ber",
-    "marcum_q",
     "marcum_q_quad",
     "marcum_q_series",
     "omega5",
     "omega6",
     "omega7",
-    "relative_error",
     "simulate",
     "solve_rho0",
-    "weighted_mean",
 ]

@@ -62,67 +62,68 @@ def weighted_mean(x, y, w):
     return w * x + (1.0 - w) * y
 
 
-def _check_gamma(gamma, minimum_exclusive: bool) -> np.ndarray:
+def _domain(g: np.ndarray, minimum_exclusive: bool):
+    # where a weight is defined (never at NaN), and the message for elsewhere
+    return (g > 0.0, "gamma must be positive") if minimum_exclusive else (g >= 0.0, "gamma must be >= 0")
+
+
+def _weight(gamma, minimum_exclusive: bool, branches):
+    """`branches` at `gamma`, a float back for a scalar and an array for an
+    array; ValueError where `gamma` is NaN or below the weight's domain."""
     g = np.asarray(gamma, dtype=float)
-    low = g.min(initial=math.inf)  # nan if any element is
-    if low != low:
-        raise ValueError("gamma must not be NaN")
-    if minimum_exclusive:
-        if low <= 0.0:
-            raise ValueError("gamma must be positive")
-    elif low < 0.0:
-        raise ValueError("gamma must be >= 0")
-    return g
-
-
-def _like(gamma, values: np.ndarray):
-    # A scalar argument gets a float back, an array argument an array.
-    return float(values) if np.ndim(gamma) == 0 else values
+    ok, message = _domain(g, minimum_exclusive)
+    if np.count_nonzero(ok) < ok.size:
+        raise ValueError("gamma must not be NaN" if np.isnan(g).any() else message)
+    # branches on a 1-d array, so a scalar gets the array loops' last bit
+    # (numpy-scalar arithmetic can differ there)
+    with np.errstate(all="ignore"):
+        w = branches(g.reshape(-1)).reshape(g.shape)
+    return float(w) if np.ndim(gamma) == 0 else w
 
 
 def omega5(gamma):
     """Weight for the ber5 mean, two branches split at gamma = 1 (linear SNR)."""
-    g = _check_gamma(gamma, minimum_exclusive=True)
-    # branches on a 1-d array, so a scalar gets the array loops' last bit
-    # (numpy-scalar arithmetic can differ there)
-    x = g.reshape(-1)
-    with np.errstate(all="ignore"):
-        w = np.where(
-            x < 1.0,
-            0.65 * x**0.25,
-            0.5 + 1.1 * np.exp(-math.pi / (2.0 * np.sqrt(x))) / x**1.5 * math.sqrt(0.5),
-        )
-    return _like(gamma, w.reshape(g.shape))
+    return _weight(gamma, True, lambda x: np.where(
+        x < 1.0,
+        0.65 * x**0.25,
+        0.5 + 1.1 * np.exp(-math.pi / (2.0 * np.sqrt(x))) / x**1.5 * math.sqrt(0.5),
+    ))
 
 
 def omega6(gamma):
     """Weight for the ber6 mean, three branches split at gamma = 1 and 5."""
-    g = _check_gamma(gamma, minimum_exclusive=False)
-    x = g.reshape(-1)
-    with np.errstate(all="ignore"):
-        w = np.where(
-            x < 1.0,
-            np.exp(-x * x / 2.9) * 0.25 + 0.5,
-            np.where(
-                x < 5.0,
-                np.exp(-1.0 / (2.0 * x + 1.0)) / (x + 0.5) ** 1.5 * math.sqrt(1.0 / (2.0 * math.pi)) * 1.15 + 0.5,
-                (1.0 / math.pi) / (1.0 + x) * 0.65 + 0.5,
-            ),
-        )
-    return _like(gamma, w.reshape(g.shape))
+    return _weight(gamma, False, lambda x: np.where(
+        x < 1.0,
+        np.exp(-x * x / 2.9) * 0.25 + 0.5,
+        np.where(
+            x < 5.0,
+            np.exp(-1.0 / (2.0 * x + 1.0)) / (x + 0.5) ** 1.5 * math.sqrt(1.0 / (2.0 * math.pi)) * 1.15 + 0.5,
+            (1.0 / math.pi) / (1.0 + x) * 0.65 + 0.5,
+        ),
+    ))
 
 
 def omega7(gamma):
     """Weight for the ber7 mean, three branches split at gamma = 1 and 8."""
-    g = _check_gamma(gamma, minimum_exclusive=False)
-    x = g.reshape(-1)
-    with np.errstate(all="ignore"):
-        w = np.where(
-            x < 1.0,
-            (1.0 - x) ** 2 * 0.95,
-            np.where(x < 8.0, 0.5 - 1.4 * np.exp(-(x**1.2)) + 0.02, 1.0 / (5.2 * x) + 0.5),
-        )
-    return _like(gamma, w.reshape(g.shape))
+    return _weight(gamma, False, lambda x: np.where(
+        x < 1.0,
+        (1.0 - x) ** 2 * 0.95,
+        np.where(x < 8.0, 0.5 - 1.4 * np.exp(-(x**1.2)) + 0.02, 1.0 / (5.2 * x) + 0.5),
+    ))
+
+
+def _weight_gamma(r, minimum_exclusive: bool) -> np.ndarray:
+    """"gamma" for a weight column: the rows outside the weight's domain are
+    recorded through `r.check` and set to 1, so the weight function, which
+    would raise, computes the others and `_evaluate` reports the lowest row."""
+    g = r["gamma"]
+    ok, message = _domain(g, minimum_exclusive)
+    if np.count_nonzero(ok) < ok.size:
+        nan = np.isnan(g)
+        r.check(g, ~nan, "gamma must not be NaN")
+        r.check(g, ok | nan, message)
+        g = np.where(ok, g, 1.0)
+    return g
 
 
 def _ber4(r) -> np.ndarray:
@@ -133,15 +134,16 @@ def _ber4(r) -> np.ndarray:
 
 
 # The table of `bounds` plus every column built on it: the closed forms in
-# the docstrings of the scalar functions below. The weights read the
-# unchecked "gamma", as omega6 and omega7 are defined at 0; they and
-# weighted_mean are looked up at each call, so a wrapper set on the module
-# sees it. eps<k> reads "exact>0", the exact BER once checked, after ber<k>.
+# the docstrings of the scalar functions below. The weights read "gamma"
+# with their own domain check, not "g", as omega6 and omega7 are defined
+# at 0; they and weighted_mean are looked up at each call, so a wrapper
+# set on the module sees it. eps<k> reads "exact>0", the exact BER once
+# checked, after ber<k>.
 _FORMULAS = {
     **bounds._FORMULAS,
-    "w5": lambda r: omega5(r["gamma"]),
-    "w6": lambda r: omega6(r["gamma"]),
-    "w7": lambda r: omega7(r["gamma"]),
+    "w5": lambda r: omega5(_weight_gamma(r, True)),
+    "w6": lambda r: omega6(_weight_gamma(r, False)),
+    "w7": lambda r: omega7(_weight_gamma(r, False)),
     "ber1": lambda r: _SQRT_PI_8 * (r["a"] + r["b"]) * r["ive"] * r["e"],
     "ber2": lambda r: (_SQRT_PI_8 * r["ive"] * r["big_e"] * ((r["a"] + r["b"]) - (r["a"] - r["b"]) * r["exp_2ab"])
                        / (1.0 - r["exp_2ab"] * r["exp_2ab"])),
@@ -212,13 +214,6 @@ def ber6(snr: SnrPoint) -> float:
 def ber7(snr: SnrPoint) -> float:
     """Variable-weight mean omega7 l2 + (1 - omega7) u3."""
     return bounds._at(snr, ("ber7",), _FORMULAS)[0]
-
-
-def relative_error(approx: float, exact: float) -> float:
-    """Signed relative error (approx - exact) / exact; requires exact > 0."""
-    if not exact > 0.0:
-        raise ValueError("exact must be positive")
-    return (approx - exact) / exact
 
 
 def approx_set(snr: SnrPoint) -> ApproxSet:

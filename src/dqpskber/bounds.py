@@ -10,17 +10,20 @@ the single-angle form holding because b/a = 1 + sqrt 2 is fixed (Pawula,
 Rice and Roberts, IEEE Trans. Commun. 30(8), 1982). Its integrand is
 positive, periodic and analytic, so its trapezoid sum, the exact BER here,
 converges geometrically (Trefethen and Weideman, SIAM Review 56(3), 2014);
-the Marcum Q routes in `specfun` stay as cross-checks. The exact BER and
-the two lower bounds (l1, l2) and three upper bounds (u1, u2, u3) that
-bracket it are evaluated over arrays of SNRs, in exponentially scaled
-arithmetic so results stay finite far beyond any tabulated range. Each
-array is one entry of the formula table `_FORMULAS`, which a `_Resolver`
-computes on first use, so a call pays only for what it asks; the scalar
-functions read the table at one SNR through `_at`.
+the Marcum Q routes in `specfun` are cross-checks it does not use. The
+exact BER and the two lower bounds (l1, l2) and three upper bounds (u1,
+u2, u3) that bracket it are evaluated over arrays of SNRs, in
+exponentially scaled arithmetic so results stay finite far beyond any
+tabulated range. Each array is one entry of the formula table
+`_FORMULAS`, which a `_Resolver` computes on first use, so a call pays
+only for what it asks; the scalar functions read the table at one SNR
+through `_at`.
 
 The sharp constant in u3 is computed on first use by solving
-(x + 1) I1(x) = x I0(x); the solver result is cached and also exercised
-by the test suite against reference digits.
+(x + 1) I1(x) = x I0(x) with `scipy.special.i0` and `i1`; the solver
+result is cached and also exercised by the test suite against reference
+digits. Every special function here comes from `scipy.special`, imported
+on first use through `_special`, so the exact BER loads numpy only.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import specfun
 
 _SQRT2 = math.sqrt(2.0)
 _A_COEF = 2.0 - _SQRT2
@@ -76,9 +77,9 @@ class SnrPoint:
 
     @classmethod
     def from_db(cls, gamma_db: float) -> "SnrPoint":
+        # a non-finite gamma_db maps to a non-finite or zero linear SNR,
+        # which __post_init__ rejects with "gamma_db must be finite"
         gamma_db = float(gamma_db)
-        if math.isnan(gamma_db) or math.isinf(gamma_db):
-            raise ValueError("gamma_db must be finite")
         return cls(gamma_db, db_to_linear(gamma_db))
 
     @classmethod
@@ -121,13 +122,26 @@ class BoundSet:
     u3: float
 
 
+def _special(r=None):
+    # scipy.special, imported on first use: the exact BER needs numpy only
+    import scipy.special
+
+    return scipy.special
+
+
+def _i0_i1(x: float) -> tuple[float, float]:
+    # Python floats, so LambdaConstants' repr does not depend on numpy's scalar type
+    special = _special()
+    return float(special.i0(x)), float(special.i1(x))
+
+
 def _rho_equation(x: float) -> float:
-    return (x + 1.0) * specfun.bessel_i1(x) - x * specfun.bessel_i0(x)
+    i0, i1 = _i0_i1(x)
+    return (x + 1.0) * i1 - x * i0
 
 
 def _rho_equation_prime(x: float) -> float:
-    i0 = specfun.bessel_i0(x)
-    i1 = specfun.bessel_i1(x)
+    i0, i1 = _i0_i1(x)
     return x * i0 - x * i1 - i1 / x
 
 
@@ -155,7 +169,8 @@ def solve_rho0() -> LambdaConstants:
         root -= _rho_equation(root) / _rho_equation_prime(root)
     if abs(_rho_equation(root)) > 1e-14:
         raise RuntimeError("root refinement did not reach 1e-14 residual")
-    lam = math.exp(root) * (specfun.bessel_i0(root) / specfun.bessel_i1(root) - 1.0)
+    i0, i1 = _i0_i1(root)
+    lam = math.exp(root) * (i0 / i1 - 1.0)
     return LambdaConstants(rho0=root, lambda0=lam)
 
 
@@ -172,7 +187,7 @@ def _scale(g: np.ndarray) -> np.ndarray:
 
 
 def _exact(g: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Trapezoid sum of the single-angle form on N = 64 + 16 sqrt(max g) nodes, times `scale` = `_scale(g)`.
+    """Trapezoid sum of the single-angle form on N = 2 ceil(32 + 8 sqrt(max g)) nodes, times `scale` = `_scale(g)`.
 
     With u = 1 + sin t the integrand is
     exp(-g (2 - sqrt 2)) exp(-g sqrt2 u) / (sqrt2 - 1 + u). Nodes
@@ -190,13 +205,6 @@ def _exact(g: np.ndarray, scale: np.ndarray) -> np.ndarray:
     for lo in range(0, g.size, rows):
         total[lo : lo + rows] = np.exp(-np.multiply.outer(g[lo : lo + rows] * _SQRT2, u)) @ weights
     return scale * total
-
-
-def _special(r):
-    # scipy.special, imported on first use: the exact BER needs numpy only
-    import scipy.special
-
-    return scipy.special
 
 
 class _Resolver(dict):

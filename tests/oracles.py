@@ -41,8 +41,9 @@ def ref_i1_scaled(x: float) -> mp.mpf:
     return mp.exp(-x) * mp.besseli(1, x)
 
 
-def ref_erfc(x: float) -> mp.mpf:
-    return mp.erfc(mp.mpf(x))
+def ref_erfcx(x: float) -> mp.mpf:
+    x = mp.mpf(x)
+    return mp.exp(x * x) * mp.erfc(x)
 
 
 def ref_marcum(a: float, b: float) -> mp.mpf:

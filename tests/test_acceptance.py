@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+from scipy import special
 
 from dqpskber import approx, bounds, montecarlo, specfun
 
@@ -110,8 +111,8 @@ def test_criterion_3_table3_reproduction():
 def test_criterion_4_constants():
     consts = bounds.solve_rho0()
     residual = abs(
-        (consts.rho0 + 1.0) * specfun.bessel_i1(consts.rho0)
-        - consts.rho0 * specfun.bessel_i0(consts.rho0)
+        (consts.rho0 + 1.0) * special.i1(consts.rho0)
+        - consts.rho0 * special.i0(consts.rho0)
     )
     rho_digits = _signif_digits(consts.rho0, REFERENCE_RHO0_DIGITS)
     lambda_digits = _signif_digits(consts.lambda0, REFERENCE_LAMBDA0_DIGITS)

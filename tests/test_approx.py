@@ -194,31 +194,26 @@ class TestVariableWeightApproximations:
 
 
 class TestRelativeError:
+    # eps5..eps7 = (ber<k> - exact) / exact, entries of the formula table
     def test_zero_at_equality(self):
-        assert approx.relative_error(0.123, 0.123) == 0.0
+        table = dict(approx._FORMULAS, ber5=lambda r: r["exact"])
+        assert bounds._evaluate(np.array([0.123]), ["eps5"], table)["eps5"][0] == 0.0
 
     def test_frozen_values_at_unit_snr(self):
-        exact = bounds.exact_ber(_snr(1.0))
-        assert approx.relative_error(approx.ber5(_snr(1.0)), exact) == pytest.approx(
-            EPS5_G1, rel=1e-9
-        )
-        assert approx.relative_error(approx.ber6(_snr(1.0)), exact) == pytest.approx(
-            EPS6_G1, rel=1e-9
-        )
-        assert approx.relative_error(approx.ber7(_snr(1.0)), exact) == pytest.approx(
-            EPS7_G1, rel=1e-9
-        )
+        aset = approx.approx_set(_snr(1.0))
+        assert aset.eps5 == pytest.approx(EPS5_G1, rel=1e-9)
+        assert aset.eps6 == pytest.approx(EPS6_G1, rel=1e-9)
+        assert aset.eps7 == pytest.approx(EPS7_G1, rel=1e-9)
 
     def test_reference_rows(self):
-        exact = bounds.exact_ber(_snr(1.0))
-        eps6 = approx.relative_error(approx.ber6(_snr(1.0)), exact)
+        eps6 = approx.approx_set(_snr(1.0)).eps6
         assert eps6 == pytest.approx(-4.51e-4, abs=2e-6)
 
     def test_rejects_nonpositive_exact(self):
-        with pytest.raises(ValueError):
-            approx.relative_error(0.1, 0.0)
-        with pytest.raises(ValueError):
-            approx.relative_error(0.1, -0.5)
+        # the exact BER underflows to 0 above about 31 dB
+        for db in (35.0, 40.0):
+            with pytest.raises(ValueError, match="exact must be positive"):
+                approx.approx_set(bounds.SnrPoint.from_db(db))
 
 
 class TestApproxSet:
@@ -229,7 +224,7 @@ class TestApproxSet:
         assert aset.ber4 == approx.ber4(snr)
         assert aset.ber5 == approx.ber5(snr)
         exact = bounds.exact_ber(snr)
-        assert aset.eps7 == approx.relative_error(aset.ber7, exact)
+        assert aset.eps7 == (aset.ber7 - exact) / exact
 
     def test_row_five_against_reference(self):
         aset = approx.approx_set(_snr(5.0))
@@ -280,7 +275,7 @@ class TestApproxSet:
         for g in range(1, 13):
             snr = _snr(float(g))
             exact = bounds.exact_ber(snr)
-            eps1 = abs(approx.relative_error(approx.ber1(snr), exact))
+            eps1 = abs(approx.ber1(snr) - exact) / exact
             aset = approx.approx_set(snr)
             assert abs(aset.eps6) <= eps1
             assert abs(aset.eps7) <= eps1
@@ -342,6 +337,11 @@ class TestEvaluate:
             approx.evaluate(np.array([1.0, 0.0]), ["exact"])
         with pytest.raises(ValueError, match="gamma must be positive"):
             approx.evaluate(np.array([1.0, 0.0]), ["w5"])
+        # the lowest offending row wins, whichever column it fails
+        with pytest.raises(ValueError, match="gamma too small for ber4"):
+            approx.evaluate(np.array([1e-13, -1.0]), ["ber4", "w5"])
+        with pytest.raises(ValueError, match="exact must be positive"):
+            approx.evaluate(np.array([5000.0, -1.0]), ["eps5"])
         assert approx.evaluate(np.array([0.0]), ["w6", "w7"])["w6"][0] == 0.75
 
     def test_weights_looked_up_at_call_time(self, monkeypatch):

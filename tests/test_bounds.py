@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from dqpskber import bounds
 
@@ -41,6 +42,11 @@ class TestSnrPoint:
     def test_rejects_inconsistent_pair(self):
         with pytest.raises(ValueError):
             bounds.SnrPoint(gamma_db=3.0, gamma_lin=1.0)
+
+    def test_from_db_rejects_non_finite(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="gamma_db must be finite"):
+                bounds.SnrPoint.from_db(bad)
 
     def test_rejects_db_beyond_double_range(self):
         with pytest.raises(ValueError, match="overflows the linear SNR"):
@@ -113,13 +119,13 @@ class TestExactBer:
 class TestSolveRho0:
     def test_residual(self):
         c = bounds.solve_rho0()
-        residual = (c.rho0 + 1.0) * bounds.specfun.bessel_i1(c.rho0) - c.rho0 * bounds.specfun.bessel_i0(c.rho0)
+        residual = (c.rho0 + 1.0) * special.i1(c.rho0) - c.rho0 * special.i0(c.rho0)
         assert abs(residual) <= 1e-14
 
     def test_lambda_identity(self):
         c = bounds.solve_rho0()
-        i0 = bounds.specfun.bessel_i0(c.rho0)
-        i1 = bounds.specfun.bessel_i1(c.rho0)
+        i0 = special.i0(c.rho0)
+        i1 = special.i1(c.rho0)
         assert c.lambda0 == pytest.approx(math.exp(c.rho0) * (i0 / i1 - 1.0), rel=1e-12)
 
     def test_values_against_reference(self):
@@ -128,8 +134,13 @@ class TestSolveRho0:
         assert c.lambda0 == pytest.approx(LAMBDA0, rel=1e-13)
 
     def test_bracket_sign_change(self):
-        f = lambda x: (x + 1.0) * bounds.specfun.bessel_i1(x) - x * bounds.specfun.bessel_i0(x)
+        f = lambda x: (x + 1.0) * special.i1(x) - x * special.i0(x)
         assert f(1.0) < 0.0 < f(2.0)
+
+    def test_returns_python_floats(self):
+        # scipy.special returns numpy scalars, which would change the repr
+        c = bounds.solve_rho0()
+        assert type(c.rho0) is float and type(c.lambda0) is float
 
     def test_cached(self):
         assert bounds.solve_rho0() is bounds.solve_rho0()
@@ -137,8 +148,8 @@ class TestSolveRho0:
     def test_order_one_relation_at_root(self):
         # I1(rho0) = rho0 I0(rho0) / (rho0 + 1)
         c = bounds.solve_rho0()
-        i1 = bounds.specfun.bessel_i1(c.rho0)
-        i0 = bounds.specfun.bessel_i0(c.rho0)
+        i1 = special.i1(c.rho0)
+        i0 = special.i0(c.rho0)
         assert i1 == pytest.approx(c.rho0 * i0 / (c.rho0 + 1.0), rel=1e-13)
 
 
@@ -224,7 +235,7 @@ class TestBoundValues:
     def test_independent_formula_reimplementation_at_unit_snr(self):
         # direct unscaled evaluation, small enough snr that nothing overflows
         a, b = A_G1, B_G1
-        i0 = bounds.specfun.bessel_i0(a * b)
+        i0 = special.i0(a * b)
         e = math.erfc((b - a) / math.sqrt(2.0))
         half = 0.5 * math.exp(-0.5 * (a * a + b * b))
         direct_l1 = i0 * (math.sqrt(0.5 * math.pi) * b / math.exp(a * b) * e - half)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
-from dqpskber import specfun
+from dqpskber import bounds, specfun
 
 import oracles
 
@@ -21,34 +22,24 @@ B_G1 = 1.8477590650225735
 
 class TestBesselI0:
     def test_at_zero(self):
-        assert specfun.bessel_i0(0.0) == 1.0
+        assert special.i0(0.0) == 1.0
 
     def test_at_one(self):
-        assert specfun.bessel_i0(1.0) == pytest.approx(I0_AT_1, rel=1e-13)
+        assert special.i0(1.0) == pytest.approx(I0_AT_1, rel=1e-13)
 
     def test_against_reference_on_grid(self):
         for x in np.logspace(-8, np.log10(700), 60):
-            assert oracles.rel_err(specfun.bessel_i0(x), oracles.ref_i0(x)) <= 1e-13
+            assert oracles.rel_err(special.i0(x), oracles.ref_i0(x)) <= 1e-13
 
     def test_crossover_continuity(self):
         for x in (17.9, 18.0, 18.0000001, 18.1):
-            assert oracles.rel_err(specfun.bessel_i0(x), oracles.ref_i0(x)) <= 1e-13
+            assert oracles.rel_err(special.i0(x), oracles.ref_i0(x)) <= 1e-13
 
     def test_scaled_consistency(self):
         for x in np.logspace(-6, np.log10(700), 40):
-            lhs = specfun.bessel_i0(x)
+            lhs = special.i0(x)
             rhs = math.exp(x) * specfun.bessel_i0_scaled(x)
             assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_rejects_nan_and_negative(self):
-        with pytest.raises(ValueError):
-            specfun.bessel_i0(float("nan"))
-        with pytest.raises(ValueError):
-            specfun.bessel_i0(-1.0)
-
-    def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            specfun.bessel_i0(720.0)
 
 
 class TestBesselI0Scaled:
@@ -85,89 +76,78 @@ class TestBesselI0Scaled:
 class TestBesselI1Scaled:
     def test_against_reference_on_grid(self):
         for x in np.logspace(-8, np.log10(2e4), 60):
-            assert oracles.rel_err(specfun.bessel_i1_scaled(x), oracles.ref_i1_scaled(x)) <= 1e-13
+            assert oracles.rel_err(special.i1e(x), oracles.ref_i1_scaled(x)) <= 1e-13
 
 
 class TestBesselI1:
     def test_at_zero(self):
-        assert specfun.bessel_i1(0.0) == 0.0
+        assert special.i1(0.0) == 0.0
 
     def test_at_one(self):
-        assert specfun.bessel_i1(1.0) == pytest.approx(I1_AT_1, rel=1e-13)
+        assert special.i1(1.0) == pytest.approx(I1_AT_1, rel=1e-13)
 
     def test_against_reference_on_grid(self):
         for x in np.logspace(-8, np.log10(700), 60):
-            assert oracles.rel_err(specfun.bessel_i1(x), oracles.ref_i1(x)) <= 1e-13
+            assert oracles.rel_err(special.i1(x), oracles.ref_i1(x)) <= 1e-13
 
     def test_scaled_consistency(self):
         for x in (0.5, 7.0, 17.9, 18.1, 120.0, 650.0):
-            lhs = specfun.bessel_i1(x)
-            rhs = math.exp(x) * specfun.bessel_i1_scaled(x)
+            lhs = special.i1(x)
+            rhs = math.exp(x) * special.i1e(x)
             assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_rejects_nan_and_negative(self):
-        with pytest.raises(ValueError):
-            specfun.bessel_i1(float("nan"))
-        with pytest.raises(ValueError):
-            specfun.bessel_i1(-0.5)
 
 
 def test_bessel_order_inequalities():
     # I0 >= 1 everywhere, I1 < I0 strictly for x > 0
     for x in np.logspace(-8, 4, 60):
-        i0e = specfun.bessel_i0_scaled(x)
-        i1e = specfun.bessel_i1_scaled(x)
+        i0e = special.i0e(x)
+        i1e = special.i1e(x)
         assert i1e < i0e
-        assert specfun.bessel_i0_scaled(0.0) == 1.0
+        assert special.i0e(0.0) == 1.0
         assert i1e >= 0.0
 
 
 class TestErfc:
+    # through erfcx(x) = exp(x^2) erfc(x), the form the formula table uses
     def test_at_zero(self):
-        assert specfun.erfc(0.0) == 1.0
+        assert special.erfcx(0.0) == 1.0
 
     def test_tail_positivity(self):
-        v = specfun.erfc(10.0)
+        v = special.erfcx(10.0) * math.exp(-100.0)
         assert 0.0 < v < 1e-43
 
     def test_reflection(self):
+        # erfc(x) + erfc(-x) = 2
         for x in np.linspace(-6.0, 6.0, 49):
-            assert specfun.erfc(x) + specfun.erfc(-x) == pytest.approx(2.0, abs=1e-14)
-        assert specfun.erfc(-0.7) == pytest.approx(2.0 - specfun.erfc(0.7), rel=1e-14)
+            assert (special.erfcx(x) + special.erfcx(-x)) * math.exp(-x * x) == pytest.approx(2.0, abs=1e-14)
 
     def test_strictly_decreasing(self):
-        # left edge capped where 2 - erfc(x) is still representable
         xs = np.linspace(-5.5, 8.0, 100)
-        vals = [specfun.erfc(x) for x in xs]
+        vals = [special.erfcx(x) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_against_reference_on_grid(self):
         for x in np.linspace(-6.0, 26.0, 80):
-            assert oracles.rel_err(specfun.erfc(x), oracles.ref_erfc(x)) <= 1e-13
+            assert oracles.rel_err(special.erfcx(x), oracles.ref_erfcx(x)) <= 1e-13
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            specfun.erfc(float("nan"))
+
+def _entries(g, *names):
+    """The named entries of the formula table at the linear SNRs `g`."""
+    values = bounds._evaluate(np.atleast_1d(np.asarray(g, dtype=float)), names, bounds._FORMULAS)
+    return [values[name] for name in names]
 
 
 class TestTailWeights:
-    def test_e_fn_degenerate_equal_args(self):
-        assert specfun.e_fn(1.3, 1.3) == 1.0
-
+    # the table's e = erfc((b-a)/sqrt2) and big_e = e - erfc((b+a)/sqrt2)
     def test_e_fn_at_unit_snr(self):
         assert B_G1 - A_G1 == pytest.approx(1.082392200292394, rel=1e-13)
-        assert specfun.e_fn(A_G1, B_G1) == pytest.approx(E_FN_AT_G1, rel=1e-13)
+        assert _entries(1.0, "e")[0][0] == pytest.approx(E_FN_AT_G1, rel=1e-13)
 
     def test_e_fn_vanishes_at_high_snr(self):
-        a = math.sqrt(1e4 * (2.0 - math.sqrt(2.0)))
-        b = math.sqrt(1e4 * (2.0 + math.sqrt(2.0)))
-        assert specfun.e_fn(a, b) < 1e-300
+        assert _entries(1e4, "e")[0][0] < 1e-300
 
     def test_E_fn_at_unit_snr(self):
-        assert specfun.E_fn(A_G1, B_G1) == pytest.approx(BIG_E_AT_G1, rel=1e-13)
-
-    def test_E_fn_small_a_limit(self):
-        assert abs(specfun.E_fn(1e-12, 1.0)) < 1e-11
+        assert _entries(1.0, "big_e")[0][0] == pytest.approx(BIG_E_AT_G1, rel=1e-13)
 
     def test_E_fn_matches_quadrature(self):
         # independent check of the integral form with scipy quadrature
@@ -176,37 +156,34 @@ class TestTailWeights:
         lo = (B_G1 - A_G1) / math.sqrt(2.0)
         hi = (B_G1 + A_G1) / math.sqrt(2.0)
         integral, _ = quad(lambda t: 2.0 / math.sqrt(math.pi) * math.exp(-t * t), lo, hi)
-        assert specfun.E_fn(A_G1, B_G1) == pytest.approx(integral, abs=1e-10)
+        assert _entries(1.0, "big_e")[0][0] == pytest.approx(integral, abs=1e-10)
 
     def test_E_fn_below_e_fn(self):
-        a = math.sqrt(2.0 * (2.0 - math.sqrt(2.0)))
-        b = math.sqrt(2.0 * (2.0 + math.sqrt(2.0)))
-        assert specfun.E_fn(a, b) < specfun.e_fn(a, b)
+        e, big_e = _entries(2.0, "e", "big_e")
+        assert big_e[0] < e[0]
 
     def test_range(self):
-        for g in np.logspace(-6, 2, 30):
-            a = math.sqrt(g * (2.0 - math.sqrt(2.0)))
-            b = math.sqrt(g * (2.0 + math.sqrt(2.0)))
-            assert 0.0 < specfun.E_fn(a, b) < 2.0
+        (big_e,) = _entries(np.logspace(-6, 2, 30), "big_e")
+        assert np.all((0.0 < big_e) & (big_e < 2.0))
 
 
 class TestMarcumQ:
     def test_b_zero_is_one(self):
-        assert specfun.marcum_q(1.7, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert specfun.marcum_q_quad(1.7, 0.0) == pytest.approx(1.0, rel=1e-12)
         assert specfun.marcum_q_series(1.7, 0.0) == 1.0
 
     def test_small_a_limit(self):
-        assert specfun.marcum_q(1e-12, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-9)
+        assert specfun.marcum_q_quad(1e-12, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-9)
 
     def test_unit_snr_value(self):
-        assert specfun.marcum_q(A_G1, B_G1) == pytest.approx(MARCUM_AT_G1, rel=1e-10)
+        assert specfun.marcum_q_quad(A_G1, B_G1) == pytest.approx(MARCUM_AT_G1, rel=1e-10)
 
     def test_against_reference_on_grid(self):
         for g in np.logspace(-3, 1.4, 25):
             a = math.sqrt(g * (2.0 - math.sqrt(2.0)))
             b = math.sqrt(g * (2.0 + math.sqrt(2.0)))
             ref = oracles.ref_marcum(a, b)
-            assert oracles.rel_err(specfun.marcum_q(a, b), ref) <= 1e-10
+            assert oracles.rel_err(specfun.marcum_q_quad(a, b), ref) <= 1e-10
             assert oracles.rel_err(specfun.marcum_q_series(a, b), ref) <= 1e-10
 
     def test_series_quad_agreement_on_db_grid(self):
@@ -236,21 +213,21 @@ class TestMarcumQ:
     def test_monotone_in_each_argument(self):
         # decreasing in b at fixed a, increasing in a at fixed b (b >= a > 0)
         bs = np.linspace(1.0, 6.0, 12)
-        vals = [specfun.marcum_q(0.8, b) for b in bs]
+        vals = [specfun.marcum_q_quad(0.8, b) for b in bs]
         assert all(x > y for x, y in zip(vals, vals[1:]))
         avals = np.linspace(0.05, 2.0, 12)
-        vals = [specfun.marcum_q(a, 2.5) for a in avals]
+        vals = [specfun.marcum_q_quad(a, 2.5) for a in avals]
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            specfun.marcum_q(0.0, 1.0)
+            specfun.marcum_q_quad(0.0, 1.0)
         with pytest.raises(ValueError):
-            specfun.marcum_q(-1.0, 1.0)
+            specfun.marcum_q_quad(-1.0, 1.0)
         with pytest.raises(ValueError):
-            specfun.marcum_q(1.0, -0.1)
+            specfun.marcum_q_quad(1.0, -0.1)
         with pytest.raises(ValueError):
-            specfun.marcum_q(float("nan"), 1.0)
+            specfun.marcum_q_quad(float("nan"), 1.0)
 
 
 def test_marcum_level_bound_sandwich():
@@ -261,9 +238,8 @@ def test_marcum_level_bound_sandwich():
         b = math.sqrt(g * (2.0 + math.sqrt(2.0)))
         ab = a * b
         ive = specfun.bessel_i0_scaled(ab)
-        e = specfun.e_fn(a, b)
-        big_e = specfun.E_fn(a, b)
-        q = specfun.marcum_q(a, b)
+        e, big_e = (float(v[0]) for v in _entries(g, "e", "big_e"))
+        q = specfun.marcum_q_quad(a, b)
         lower1 = sqrt_half_pi * b * ive * e
         upper1 = ive * (math.exp(-0.5 * (b - a) ** 2) + a * sqrt_half_pi * e)
         lower2 = sqrt_half_pi * b * ive * big_e / (1.0 - math.exp(-2.0 * ab))
