@@ -9,12 +9,14 @@ the bit error rate of Gray-coded DQPSK over AWGN is
 the single-angle form holding because b/a = 1 + sqrt 2 is fixed (Pawula,
 Rice and Roberts, IEEE Trans. Commun. 30(8), 1982). Its integrand is
 positive, periodic and analytic, so its trapezoid sum, the exact BER here,
-converges geometrically (Trefethen and Weideman, SIAM Review 56(3), 2014);
-the Marcum Q routes in `specfun` are cross-checks it does not use. The
-exact BER and the two lower bounds (l1, l2) and three upper bounds (u1,
-u2, u3) that bracket it are evaluated over arrays of SNRs, in
-exponentially scaled arithmetic so results stay finite far beyond any
-tabulated range. Each array is one entry of the formula table
+converges geometrically (Trefethen and Weideman, SIAM Review 56(3), 2014).
+Each SNR g takes N = 2 ceil(32 + 8 sqrt g) nodes of its own, at most 64
+terms of one fixed table, so row i of an array call is bit-identical to
+a call on row i alone. The Marcum Q routes in `specfun` are cross-checks
+it does not use. The exact BER and the two lower bounds (l1, l2) and
+three upper bounds (u1, u2, u3) that bracket it are evaluated over arrays
+of SNRs, in exponentially scaled arithmetic so results stay finite far
+beyond any tabulated range. Each array is one entry of the formula table
 `_FORMULAS`, which a `_Resolver` computes on first use, so a call pays
 only for what it asks; the scalar functions read the table at one SNR
 through `_at`.
@@ -47,8 +49,18 @@ _A_LO = -1.4349369327986523e-17
 # exp(-g (2 - sqrt 2)) underflows to 0 beyond this g, so there the exact
 # BER is 0 whatever the node count.
 _G_UNDERFLOW = 746.0 / _A_HI
-# Largest (SNR, node) block of the trapezoid sum held in memory at once.
-_BLOCK = 1 << 18
+# SNRs per block of the exact sum (64 nodes each), and rows per block of the
+# CSV renderer.
+_ROWS = 4096
+# The trapezoid table of `_exact`. Row j holds the nodes k < 64 of the sum
+# on N = 2 (32 + j) = 2 _HALF nodes: u = 2 sin^2(pi k/N), and the weight 1
+# at k = 0 and k = N/2, 2 between and 0 beyond, over 2 N (sqrt2 - 1 + u).
+# An SNR g takes row j = ceil(8 sqrt g), so g > ((j - 1)/8)^2; from j = 32
+# on, the nodes k >= 64 the row drops have g sqrt2 u >= 42.47 there and
+# sum to less than 1e-20 of the rest (tests/test_bounds.py checks >= 40).
+_K, _HALF = np.arange(64), 32 + np.arange(math.ceil(8.0 * math.sqrt(_G_UNDERFLOW)) + 1)[:, None]
+_U = 2.0 * np.sin(_K * (math.pi / (2 * _HALF))) ** 2
+_W = np.where((_K == 0) | (_K == _HALF), 1.0, 2.0 * (_K < _HALF)) / (4 * _HALF * (_SQRT2 - 1.0 + _U))
 
 
 def db_to_linear(gamma_db: float) -> float:
@@ -85,7 +97,7 @@ class SnrPoint:
     @classmethod
     def from_linear(cls, gamma_lin: float) -> "SnrPoint":
         gamma_lin = float(gamma_lin)
-        if math.isnan(gamma_lin) or not (0.0 < gamma_lin < math.inf):
+        if not (0.0 < gamma_lin < math.inf):
             raise ValueError("gamma_lin must be positive and finite")
         return cls(10.0 * math.log10(gamma_lin), gamma_lin)
 
@@ -187,24 +199,23 @@ def _scale(g: np.ndarray) -> np.ndarray:
 
 
 def _exact(g: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Trapezoid sum of the single-angle form on N = 2 ceil(32 + 8 sqrt(max g)) nodes, times `scale` = `_scale(g)`.
+    """Trapezoid sum of the single-angle form, each SNR g on its own N = 2 ceil(32 + 8 sqrt g) nodes, times `scale` = `_scale(g)`.
 
     With u = 1 + sin t the integrand is
     exp(-g (2 - sqrt 2)) exp(-g sqrt2 u) / (sqrt2 - 1 + u). Nodes
     t = -pi/2 + 2 pi k/N give u = 2 sin^2(pi k/N), free of the cancellation
     in 1 + sin t near its zero; nodes k and N - k give the same u, which
-    halves the work.
+    halves the work. A row sums the 64 terms of its row of `_U`, `_W` in a
+    fixed order, so its value depends on its own SNR only: row i of a call
+    is bit-identical to a call on row i alone.
     """
-    g = np.fmin(g, _G_UNDERFLOW)
-    n = 2 * math.ceil(32.0 + 8.0 * math.sqrt(g.max(initial=0.0)))
-    k = np.arange(n // 2 + 1)
-    u = 2.0 * np.sin(k * (math.pi / n)) ** 2
-    weights = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / (2 * n * (_SQRT2 - 1.0 + u))
+    g = np.fmax(np.fmin(g, _G_UNDERFLOW), 0.0).ravel()  # a row that failed its check (NaN, <= 0) still indexes the table
     total = np.empty_like(g)
-    rows = max(1, _BLOCK // u.size)
-    for lo in range(0, g.size, rows):
-        total[lo : lo + rows] = np.exp(-np.multiply.outer(g[lo : lo + rows] * _SQRT2, u)) @ weights
-    return scale * total
+    for lo in range(0, g.size, _ROWS):
+        x = g[lo : lo + _ROWS]
+        j = np.ceil(32.0 + 8.0 * np.sqrt(x)).astype(np.intp) - 32  # N/2 = 32 + j
+        total[lo : lo + _ROWS] = np.einsum("ij,ij->i", np.exp(-(x[:, None] * _SQRT2) * _U[j]), _W[j])
+    return scale * total.reshape(scale.shape)
 
 
 class _Resolver(dict):

@@ -35,6 +35,7 @@ import sys
 import numpy as np
 
 from . import approx, bounds, montecarlo
+from .bounds import _ROWS  # rows per block of `_csv`, which bounds the renderer's temporaries
 
 _MAX_GRID_POINTS = 10**7
 
@@ -53,8 +54,6 @@ _TABLES = {
 _CELL = "%.5e"
 # SNR labels (`%` is faster than, and byte-identical to, format()).
 _GAMMA = "%.6g"
-# Rows per block of `_csv`, which bounds the renderer's temporaries.
-_ROWS = 4096
 # 10^k for k = -330..330 (index k + 330), each the correctly rounded double.
 _POW10 = np.array([float(f"1e{k}") for k in range(-330, 331)])
 
@@ -216,16 +215,17 @@ def _parse_columns(text: str) -> list[str]:
     return list(dict.fromkeys(columns))
 
 
-# The command line `[--out PATH] COMMAND ...`: each command's help line and
-# arguments, name -> (converter, metavar); a metavar {a,b} lists the only
-# values allowed. A name without `--` is a positional. Every argument but
-# --out is required.
+# The command line `[--out PATH] COMMAND ...`: each command's help line, the
+# function that runs it, and its arguments in the order that function takes
+# them, name -> (converter, metavar); a metavar {a,b} lists the only values
+# allowed. A name without `--` is a positional. Every argument but --out is
+# required.
 _COMMANDS = {
-    "table": ("reference tables on the integer SNR grid 1..12", {"which": (int, "{1,2,3}")}),
-    "sweep": ("evaluate selected columns over an SNR grid", {"--start": (float, "FLOAT"), "--stop": (float, "FLOAT"),
+    "table": ("reference tables on the integer SNR grid 1..12", cmd_table, {"which": (int, "{1,2,3}")}),
+    "sweep": ("evaluate selected columns over an SNR grid", cmd_sweep, {"--start": (float, "FLOAT"), "--stop": (float, "FLOAT"),
               "--step": (float, "FLOAT"), "--scale": (str, "{db,linear}"), "--cols": (_parse_columns, "LIST")}),
-    "mc": ("run the Monte-Carlo oracle at one SNR", {"--snr-db": (float, "FLOAT"), "--symbols": (int, "INT"), "--seed": (int, "INT")}),
-    "constants": ("emit the root and sharp constant with residual", {}),
+    "mc": ("run the Monte-Carlo oracle at one SNR", cmd_mc, {"--snr-db": (float, "FLOAT"), "--symbols": (int, "INT"), "--seed": (int, "INT")}),
+    "constants": ("emit the root and sharp constant with residual", cmd_constants, {}),
 }
 _TOP = {"--out": (str, "PATH"), "command": (str, "{%s}" % ",".join(_COMMANDS))}
 
@@ -235,8 +235,9 @@ def _help(command: str | None) -> str:
     text = "usage: dqpsk-ber [--out PATH] COMMAND ...\n\nExact DQPSK bit error rate, bounds and approximations as CSV.\n\n"
     text += "options:\n  --out PATH\n      write the CSV to PATH atomically instead of stdout\n\ncommands:\n"
     for name in [command] if command else _COMMANDS:
-        words = [name] + [f"{arg} {meta}" if arg[0] == "-" else meta for arg, (_, meta) in _COMMANDS[name][1].items()]
-        text += f"  {' '.join(words)}\n      {_COMMANDS[name][0]}\n"
+        doc, _, spec = _COMMANDS[name]
+        words = [name] + [f"{arg} {meta}" if arg[0] == "-" else meta for arg, (_, meta) in spec.items()]
+        text += f"  {' '.join(words)}\n      {doc}\n"
     return text
 
 
@@ -276,7 +277,7 @@ def _parse(argv: list[str]) -> dict:
             args[name] = convert(value)
         except ValueError as exc:
             _usage_error(f"argument {name}: {exc}")
-        spec = _COMMANDS[value][1] if name == "command" else spec
+        spec = _COMMANDS[value][2] if name == "command" else spec
     if missing := [n for n in spec if n not in args]:  # "command", while spec is still _TOP
         _usage_error(f"the following arguments are required: {', '.join(missing)}")
     return args
@@ -368,16 +369,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
+    _, run, spec = _COMMANDS[args["command"]]
     try:
-        if args["command"] == "table":
-            text = cmd_table(args["which"])
-        elif args["command"] == "sweep":
-            text = cmd_sweep(args["--start"], args["--stop"], args["--step"], args["--scale"], args["--cols"])
-        elif args["command"] == "mc":
-            text = cmd_mc(args["--snr-db"], args["--symbols"], args["--seed"])
-        else:
-            text = cmd_constants()
-        _emit(text, args["--out"])
+        _emit(run(*map(args.get, spec)), args["--out"])
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -294,9 +294,7 @@ class TestApproxSet:
 
 class TestEvaluate:
     def test_array_call_matches_scalar_functions(self):
-        # 5000 SNRs span two row blocks of the trapezoid sum; the exact BER's
-        # node count follows the largest SNR of the call, so the array and
-        # the one-point values agree to rounding, not bit for bit
+        # 5000 SNRs span two row blocks of the trapezoid sum
         gs = np.logspace(-2.0, math.log10(12.0), 5000)
         columns = approx.evaluate(gs, approx.COLUMNS)
         for i in range(0, gs.size, 499):
@@ -314,6 +312,19 @@ class TestEvaluate:
                 # eps is a difference of two BERs: its error is absolute
                 tol = 1e-15 if name.startswith("eps") else 0.0
                 assert columns[name][i] == pytest.approx(value, rel=1e-14, abs=tol), (name, gs[i])
+
+    def test_exact_row_depends_on_its_own_snr_only(self):
+        # each row sums its own nodes in a fixed order, so neither the other
+        # rows, their order nor the block a row falls in changes its bits
+        gs = 10.0 ** (np.linspace(-10.0, 60.0, 5001) / 10.0)
+        assert gs.size > bounds._ROWS
+        alone = np.array([approx.evaluate(gs[i : i + 1], ["exact"])["exact"][0] for i in range(gs.size)])
+        shuffled = np.random.default_rng(18).permutation(gs.size)
+        for order in (np.arange(gs.size), shuffled):
+            values = approx.evaluate(gs[order], ["exact"])["exact"]
+            assert values.view(np.uint64).tolist() == alone[order].view(np.uint64).tolist()
+        grid = approx.evaluate(gs.reshape(3, -1), ["exact"])["exact"]  # any array shape
+        assert grid.shape == (3, 1667) and grid.ravel().view(np.uint64).tolist() == alone.view(np.uint64).tolist()
 
     def test_eps_against_oracle_at_high_snr(self):
         # eps subtracts two BERs of size exp(-g (2 - sqrt 2)); each carries

@@ -39,6 +39,10 @@ class TestSnrPoint:
             with pytest.raises(ValueError):
                 bounds.SnrPoint.from_linear(bad)
 
+    def test_constructor_rejects_nonpositive_linear(self):
+        with pytest.raises(ValueError, match="gamma_lin must be positive and finite"):
+            bounds.SnrPoint(gamma_db=0.0, gamma_lin=0.0)
+
     def test_rejects_inconsistent_pair(self):
         with pytest.raises(ValueError):
             bounds.SnrPoint(gamma_db=3.0, gamma_lin=1.0)
@@ -114,6 +118,28 @@ class TestExactBer:
         for g in (1e-6, 0.1, 1.0, 10.0, 100.0):
             v = bounds.exact_ber(bounds.SnrPoint.from_linear(g))
             assert 0.0 < v < 0.5
+
+    def test_node_table(self):
+        # row j holds the first 64 nodes of the N = 2 (32 + j) trapezoid sum,
+        # built here directly; the last row is the one `_G_UNDERFLOW` takes,
+        # and above it the exact BER is 0
+        rows = math.ceil(8.0 * math.sqrt(bounds._G_UNDERFLOW)) + 1
+        assert bounds._U.shape == bounds._W.shape == (rows, 64) == (287, 64)
+        k = np.arange(64)
+        for j in range(rows):
+            n = 2 * (32 + j)
+            used = k <= n // 2  # past N/2 the weight is 0
+            u = 2.0 * np.sin(np.pi * k[used] / n) ** 2
+            np.testing.assert_allclose(bounds._U[j, used], u, rtol=2e-15, atol=0.0)
+            multiple = bounds._W[j] * (2 * n * (math.sqrt(2.0) - 1.0 + bounds._U[j]))
+            expected = np.where((k == 0) | (k == n // 2), 1.0, np.where(k < n // 2, 2.0, 0.0))
+            np.testing.assert_allclose(multiple, expected, rtol=2e-15, atol=0.0)
+            if j >= 32:
+                # the smallest SNR that takes row j is above ((j - 1)/8)^2,
+                # and there the first node the row drops, k = 64, is negligible
+                g = ((j - 1) / 8.0) ** 2
+                assert math.ceil(8.0 * math.sqrt(g * (1.0 + 1e-12))) == j
+                assert g * math.sqrt(2.0) * 2.0 * math.sin(math.pi * 64 / n) ** 2 >= 40.0, j
 
 
 class TestSolveRho0:

@@ -233,6 +233,11 @@ class TestSweep:
         code, out, err = _run(capsys, "sweep", *bounds_, "--scale", "linear", "--cols", cols)
         assert (code, out, err) == (1, "", "error: start, stop and step must be finite\n")
 
+    @pytest.mark.parametrize("step", ["0", "-0.5"])
+    def test_nonpositive_step_is_domain_error(self, capsys, step):
+        code, out, err = _run(capsys, "sweep", "--start", "0", "--stop", "1", "--step", step, "--scale", "linear", "--cols", "l1")
+        assert (code, out, err) == (1, "", "error: step must be > 0\n")
+
     def test_grid_size_guard(self, capsys):
         code, _, err = _run(
             capsys,

@@ -67,6 +67,10 @@ class TestBesselI0Scaled:
     def test_no_overflow_at_huge_argument(self):
         assert math.isfinite(specfun.bessel_i0_scaled(1e308))
 
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            specfun.bessel_i0_scaled(-1.0)
+
     def test_against_reference_on_grid(self):
         # up to ab = g sqrt(2) at 40 dB
         for x in np.logspace(-8, np.log10(2e4), 60):
