@@ -237,7 +237,7 @@ class _Resolver(dict):
         """`value`, once the first row where `ok` fails, if any, is recorded; `message` may hold one {} for its SNR."""
         if np.count_nonzero(ok) < ok.size:  # cheaper than ok.all() on short arrays
             bad = int(np.flatnonzero(~ok)[0])
-            self.problems.append((bad, message.format(self["gamma"][bad])))
+            self.problems.append((bad, message.format(self["gamma"].flat[bad])))
         return value
 
 

@@ -86,15 +86,17 @@ _HEAD, _MINUS, _TAIL, _EXP = _tables()
 def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`,` and the `_CELL` text of each value of a 2-D array, as NUL-padded
     ASCII of shape values.shape + (16,), and the mask of the cells proven
-    to match `%`.
+    to match `%`; the bytes of every other cell are meaningless.
 
     With e = floor(log10 |x|), y = |x| 10^(5 - e) is two correctly rounded
-    steps below 1e6, so within 2.3e-10 of its true value: more than 1e-9
-    from a tie, rint(y) is the six digits `%` prints. Where log10 puts e
-    one too high, a cell is proven only if y >= 99999.96, where rint(y) =
-    1e5 is still right; where one too low, only if rint(y) = 1e6, printed
-    as 1.00000 with e + 1. nan, inf, subnormals and |x| outside
-    [1e-300, 1e300) are not proven; -0.0 prints as -0.00000e+00.
+    steps below 1e6, so within 2.3e-10 of its true value. A cell is proven
+    where y >= 1e5, rint(y) < 1e6 and y is more than 1e-9 from a tie; then
+    rint(y) is the six digits `%` prints with exponent e. That holds where
+    log10 put e one too high as well: y >= 1e5 then leaves only |x| within
+    2.3e-15 below 10^e, which `%` rounds up to 1.00000 with exponent e.
+    Where log10 put e one too low, or the sixth digit carries into the
+    exponent, rint(y) = 1e6 and the cell is not proven. Nor are nan, inf,
+    subnormals and |x| outside [1e-300, 1e300); -0.0 prints as -0.00000e+00.
     """
     a = np.abs(values)
     with np.errstate(invalid="ignore"):  # signalling NaNs
@@ -102,28 +104,27 @@ def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ok = (a >= 1e-300) & (a < 1e300)
     a = np.where(ok, a, 1.0)  # zeros and unproven cells take the digits of 1.0
     ok |= zero
-    e = np.floor(np.log10(a))
-    y = a * _POW10[335 - e.astype(np.int64)]
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a * _POW10[335 - e]
     r = np.rint(y)
-    ok &= (np.abs(y - r) < 0.5 - 1e-9) & (y >= 99999.96) & (r <= 1e6)
-    top = r == 1e6
-    r[top] = 1e5
+    ok &= (np.abs(y - r) < 0.5 - 1e-9) & (y >= 1e5) & (r < 1e6)
     r[zero] = 0.0  # 0.00000e+00
-    e += top
     head, tail = np.divmod(r.astype(np.int64), 1000)
-    first = _HEAD.take(head, mode="clip")  # r > 1e6 (unproven) runs past the table
+    first = _HEAD.take(head, mode="clip")  # rint(y) >= 1e6 (unproven) runs past the table
     first[np.signbit(values)] |= _MINUS
-    cells = np.stack([first, _TAIL[tail] | _EXP[e.astype(np.int64) + 330]], axis=-1)
+    cells = np.stack([first, _TAIL[tail] | _EXP[e + 330]], axis=-1)
     return cells.view(np.uint8), ok
 
 
-def _rows(labels: list[str], values: np.ndarray) -> str | None:
-    """Lines `label,cell,...` for a (rows, columns) block from `_cells`;
-    None if some cell is not proven. Labels and cells are NUL-padded to
-    fixed widths in one byte matrix, and the NULs are dropped at the end."""
+def _rows(labels: list[str], values: np.ndarray) -> str:
+    """Lines `label,cell,...` for a (rows, columns) block: the cells from
+    `_cells`, where each cell it does not prove is `,` and `_CELL % x`,
+    written into its 16-byte slot (at most 15 bytes, as in -1.23456e-308).
+    Labels and cells are NUL-padded to fixed widths in one byte matrix, and
+    the NULs are dropped at the end."""
     cells, ok = _cells(values)
     if not ok.all():
-        return None
+        cells[~ok] = np.array(["," + _CELL % x for x in values[~ok].tolist()], "S16").view(np.uint8).reshape(-1, 16)
     n = len(labels)
     label = np.array(labels, dtype="S").view(np.uint8).reshape(n, -1)
     text = np.concatenate([label, cells.reshape(n, -1), np.full((n, 1), ord("\n"), np.uint8)], axis=1)
@@ -131,20 +132,13 @@ def _rows(labels: list[str], values: np.ndarray) -> str | None:
 
 
 def _csv(header: str, labels: list[str], gamma_lin, columns) -> str:
-    """One CSV row per SNR: its label, then the columns from one kernel call.
-
-    Rows go through `_rows` in blocks of `_ROWS`; a block it cannot prove
-    is formatted with one `%` per row instead."""
+    """One CSV row per SNR: its label, then the columns from one kernel
+    call, rendered by `_rows` in blocks of `_ROWS` rows."""
     values = approx.evaluate(gamma_lin, columns)
-    row = ",".join(["%s"] + [_CELL] * len(columns)) + "\n"
     parts = [header + "\n"]
     for lo in range(0, len(labels), _ROWS):
         block = np.array([values[c][lo : lo + _ROWS] for c in columns]).T
-        names = labels[lo : lo + _ROWS]
-        text = _rows(names, block)
-        if text is None:
-            text = "".join(row % (name, *cells) for name, cells in zip(names, block.tolist()))
-        parts.append(text)
+        parts.append(_rows(labels[lo : lo + _ROWS], block))
     return "".join(parts)
 
 

@@ -68,7 +68,8 @@ class McConfig:
                 raise ValueError(f"{name} must be an integer") from None
         if self.num_symbols < 1000:
             raise ValueError("num_symbols must be >= 1000")
-        if not (isinstance(self.confidence, numbers.Real) and 0.0 < self.confidence < 1.0):
+        # `simulate` takes the normal quantile at 0.5 + 0.5 confidence, which must round below 1
+        if not (isinstance(self.confidence, numbers.Real) and 0.0 < self.confidence and 0.5 + 0.5 * self.confidence < 1.0):
             raise ValueError("confidence must be a real number in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")

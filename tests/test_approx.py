@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ EPS5_G1 = -0.0053186371695227529
 EPS6_G1 = -0.00045171101386883791
 EPS7_G1 = 0.0038671350704153584
 BER4_G12 = 9.7330113311512785e-5
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _snr(g: float) -> bounds.SnrPoint:
@@ -216,6 +218,27 @@ class TestRelativeError:
                 approx.approx_set(bounds.SnrPoint.from_db(db))
 
 
+class TestAccuracyTable:
+    def test_readme_cells_are_the_measured_worst_errors(self):
+        # each cell of the README's accuracy table is its band's largest
+        # |x - exact|/exact over 2001 dB points, rounded to two significant
+        # digits; the exact BER is held to 1e-13 of the oracle up to 30.5 dB
+        text = README.read_text().split("\n## Accuracy\n", 1)[1].split("\n## ", 1)[0]
+        (_, *approximations, _), *rows = [
+            [cell.strip() for cell in line.strip("|").split("|")] for line in text.splitlines() if line.startswith("| ")
+        ]
+        assert approximations == [f"ber{k}" for k in range(1, 8)] and len(rows) == 4
+        bounds_ = ["l1", "l2", "u1", "u2", "u3"]
+        for band, *cells in rows:
+            lo, hi = map(float, band.split(" to "))
+            values = approx.evaluate(10.0 ** (np.linspace(lo, hi, 2001) / 10), ["exact", *approximations, *bounds_])
+            error = {c: np.max(np.abs(values[c] - values["exact"]) / values["exact"]) for c in values}
+            error["worst"] = max(error[b] for b in bounds_)
+            worst, name = cells.pop().split()
+            for column, cell in zip([*approximations, name.strip("()"), "worst"], [*cells, worst, worst]):
+                assert float(f"{error[column]:.1e}") == float(cell), (band, column, error[column])
+
+
 class TestApproxSet:
     def test_consistent_with_individual_operations(self):
         snr = _snr(5.0)
@@ -353,6 +376,10 @@ class TestEvaluate:
             approx.evaluate(np.array([1e-13, -1.0]), ["ber4", "w5"])
         with pytest.raises(ValueError, match="exact must be positive"):
             approx.evaluate(np.array([5000.0, -1.0]), ["eps5"])
+        # an N-d array reports the offending SNR by its flat index
+        for gamma in ([[1.0, 1e308]], [[1.0], [1e308]]):
+            with pytest.raises(ValueError, match=r"gamma_lin = 1e\+308 overflows b"):
+                approx.evaluate(np.array(gamma), ["l1"])
         assert approx.evaluate(np.array([0.0]), ["w6", "w7"])["w6"][0] == 0.75
 
     def test_weights_looked_up_at_call_time(self, monkeypatch):

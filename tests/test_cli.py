@@ -157,6 +157,9 @@ class TestSweep:
         )
         assert code == 1
         assert "start" in err
+        # the command-line parser rejects an empty list first (exit 2)
+        with pytest.raises(ValueError, match="column list must not be empty"):
+            cli.cmd_sweep(1.0, 2.0, 1.0, "linear", [])
 
     def test_first_offending_row_wins_across_columns(self, capsys):
         # row 0 (gamma 1e-13) is outside ber4's domain and the rows beyond
@@ -625,7 +628,8 @@ def _near_tie(x: float) -> bool:
 
 class TestRenderer:
     """`cli._cells`/`_rows` against `%`: a cell either renders to the
-    bytes of `_CELL` or is flagged, and flagged blocks go through `%`."""
+    bytes of `_CELL` or is flagged, and `_rows` writes each flagged cell
+    with `%` in its own slot, so every block renders as `%` does."""
 
     @staticmethod
     def _doubles() -> np.ndarray:
@@ -663,11 +667,15 @@ class TestRenderer:
             want = [cli._CELL % v for v in chunk[ok].tolist()]
             mismatches = [(g, w) for g, w in zip(got, want) if g != w]
             assert len(got) == len(want) and not mismatches, mismatches[:5]
-        # only nan, inf, |x| outside [1e-300, 1e300) and near-ties fall back
+            labels = [str(k) for k in range(chunk.size)]
+            assert cli._rows(labels, chunk.reshape(-1, 1)) == _percent(labels, [chunk])
+        # only nan, inf, |x| outside [1e-300, 1e300), near-ties and cells
+        # `%` prints as 1.00000 (a carry into the exponent, or |x| a hair
+        # above a power of ten) are unproven
         a = np.abs(x)
         outside = ~((a >= 1e-300) & (a < 1e300)) & (a != 0.0)
         assert np.array_equal(~proven & outside, outside)
-        assert all(_near_tie(v) for v in x[~proven & ~outside].tolist())
+        assert all(_near_tie(v) or (cli._CELL % abs(v)).startswith("1.00000e") for v in x[~proven & ~outside].tolist())
         assert proven[:420_000].mean() > 0.95  # random bit patterns, mostly in range
 
     @pytest.mark.parametrize("shift", [3e-6, -3e-6])
@@ -699,7 +707,7 @@ class TestRenderer:
         for bad in (np.nan, -np.inf, 5e-324, 1e300, 9.999995e5, 1.000005, 2.5e-7 + 5e-13):
             unproven = block.copy()
             unproven[1, 1] = bad
-            assert cli._rows(labels, unproven) is None, bad
+            assert cli._rows(labels, unproven) == _percent(labels, list(unproven.T)), bad
 
     def test_block_size_does_not_change_bytes(self, monkeypatch):
         def sweep():
@@ -711,7 +719,7 @@ class TestRenderer:
 
     def test_unproven_blocks_fall_back_to_percent(self, monkeypatch):
         # blocks of 4 rows: the first two hold a near-tie, nan, inf and a
-        # subnormal and go through `%`, the last goes through `_rows`
+        # subnormal, which `%` writes in place, the last is proven throughout
         column = np.array([1.0, 2.5e-7, 0.0, -0.0, np.nan, np.inf, 5e-324, 1.000005, 3.0, -4.0])
         columns = {"l1": column, "u1": column[::-1].copy()}
         monkeypatch.setattr(cli, "_ROWS", 4)

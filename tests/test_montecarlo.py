@@ -24,7 +24,8 @@ class TestConfigValidation:
             _config(num_symbols=999)
 
     def test_rejects_bad_confidence(self):
-        for c in (0.0, 1.0, -0.5, 1.5, math.nan, "0.9", None, 0.9j):
+        # nextafter(1, 0) is below 1, but its quantile level 0.5 + 0.5 c rounds to 1
+        for c in (0.0, 1.0, -0.5, 1.5, math.nan, "0.9", None, 0.9j, math.nextafter(1.0, 0.0)):
             with pytest.raises(ValueError, match="confidence must be a real number in"):
                 _config(confidence=c)
 
