@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bounds
-from .bounds import SnrPoint, solve_rho0
+from .bounds import SnrPoint
 
 _SQRT_PI_8 = math.sqrt(math.pi / 8.0)
 
@@ -148,7 +148,7 @@ _FORMULAS = {
     "ber2": lambda r: (_SQRT_PI_8 * r["ive"] * r["big_e"] * ((r["a"] + r["b"]) - (r["a"] - r["b"]) * r["exp_2ab"])
                        / (1.0 - r["exp_2ab"] * r["exp_2ab"])),
     "ber3": lambda r: (_SQRT_PI_8 * r["ive"] * (r["b"] * r["big_e"] / (1.0 - r["exp_2ab"])
-                                                + r["a"] * r["e"] / (1.0 + solve_rho0().lambda0 * r["exp_ab"]))),
+                                                + r["a"] * r["e"] / (1.0 + bounds._CONSTANTS.lambda0 * r["exp_ab"]))),
     "ber4": _ber4,
     "ber5": lambda r: weighted_mean(r["l1"], r["u1"], r["w5"]),
     "ber6": lambda r: weighted_mean(r["l2"], r["u2"], r["w6"]),

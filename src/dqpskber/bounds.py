@@ -21,16 +21,17 @@ beyond any tabulated range. Each array is one entry of the formula table
 only for what it asks; the scalar functions read the table at one SNR
 through `_at`.
 
-The sharp constant in u3 is computed on first use by solving
-(x + 1) I1(x) = x I0(x) with `scipy.special.i0` and `i1`; the solver
-result is cached and also exercised by the test suite against reference
-digits. Every special function here comes from `scipy.special`, imported
-on first use through `_special`, so the exact BER loads numpy only.
+The sharp constant lambda0 in u3 and the root rho0 of
+(x + 1) I1(x) = x I0(x) it comes from are stored as two doubles,
+`_CONSTANTS`. The solver that gives them, bisection and Newton steps on
+`scipy.special.i0` and `i1`, is kept in the test suite, which holds it to
+these bits and the doubles to mpmath reference digits. Every special
+function here comes from `scipy.special`, imported on first use through
+`_special`, so the exact BER and the constants load numpy only.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -118,6 +119,17 @@ class LambdaConstants:
     lambda0: float
 
 
+# What the solver in tests/oracles.py returns, bit for bit: rho0 2.5 ulp
+# and lambda0 2.1 ulp below the correctly rounded values. The last bits of
+# u3, ber3 and ber7 depend on them.
+_CONSTANTS = LambdaConstants(rho0=1.5451272579925421, lambda0=3.034422066266148)
+
+
+def solve_rho0() -> LambdaConstants:
+    """Unique positive root of (x+1) I1(x) = x I0(x) and the derived constant, as stored Python floats."""
+    return _CONSTANTS
+
+
 @dataclass(frozen=True)
 class BoundSet:
     """The five bounds evaluated at one SNR point (l1 < l2 <= BER <= u2, u3 <= u1).
@@ -139,51 +151,6 @@ def _special(r=None):
     import scipy.special
 
     return scipy.special
-
-
-def _i0_i1(x: float) -> tuple[float, float]:
-    # Python floats, so LambdaConstants' repr does not depend on numpy's scalar type
-    special = _special()
-    return float(special.i0(x)), float(special.i1(x))
-
-
-def _rho_equation(x: float) -> float:
-    i0, i1 = _i0_i1(x)
-    return (x + 1.0) * i1 - x * i0
-
-
-def _rho_equation_prime(x: float) -> float:
-    i0, i1 = _i0_i1(x)
-    return x * i0 - x * i1 - i1 / x
-
-
-@functools.cache
-def solve_rho0() -> LambdaConstants:
-    """Unique positive root of (x+1) I1(x) = x I0(x) and the derived constant.
-
-    Bracketing bisection on [1, 2] followed by Newton refinement to
-    |f(rho0)| <= 1e-14; the result is cached after the first call (pure
-    computation, so concurrent first calls are harmless).
-    """
-    lo, hi = 1.0, 2.0
-    flo = _rho_equation(lo)
-    if flo * _rho_equation(hi) >= 0.0:
-        raise RuntimeError("root bracket [1, 2] failed")
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if flo * _rho_equation(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-            flo = _rho_equation(lo)
-    root = 0.5 * (lo + hi)
-    for _ in range(4):
-        root -= _rho_equation(root) / _rho_equation_prime(root)
-    if abs(_rho_equation(root)) > 1e-14:
-        raise RuntimeError("root refinement did not reach 1e-14 residual")
-    i0, i1 = _i0_i1(root)
-    lam = math.exp(root) * (i0 / i1 - 1.0)
-    return LambdaConstants(rho0=root, lambda0=lam)
 
 
 def _scale(g: np.ndarray) -> np.ndarray:
@@ -273,7 +240,7 @@ _FORMULAS = {
     "l2": lambda r: r["common"] * r["b"] * r["big_e"] / (1.0 - r["exp_2ab"]) - r["half"],
     "u1": lambda r: r["common"] * r["a"] * r["e"] + r["half"],
     "u2": lambda r: r["common"] * r["a"] * r["big_e"] / (1.0 + r["exp_2ab"]) + r["half"],
-    "u3": lambda r: r["common"] * r["a"] * r["e"] / (1.0 + solve_rho0().lambda0 * r["exp_ab"]) + r["half"],
+    "u3": lambda r: r["common"] * r["a"] * r["e"] / (1.0 + _CONSTANTS.lambda0 * r["exp_ab"]) + r["half"],
 }
 
 

@@ -189,8 +189,9 @@ def cmd_mc(snr_db: float, symbols: int, seed: int) -> str:
 
 def cmd_constants() -> str:
     """The root, the sharp constant, and the defining-equation residual."""
-    consts = bounds.solve_rho0()
-    residual = abs(bounds._rho_equation(consts.rho0))
+    consts, special = bounds.solve_rho0(), bounds._special()
+    x = consts.rho0
+    residual = abs((x + 1.0) * float(special.i1(x)) - x * float(special.i0(x)))
     lines = [
         "name,value",
         f"rho0,{consts.rho0:.14e}",
@@ -209,17 +210,18 @@ def _parse_columns(text: str) -> list[str]:
     return list(dict.fromkeys(columns))
 
 
-# The command line `[--out PATH] COMMAND ...`: each command's help line, the
-# function that runs it, and its arguments in the order that function takes
-# them, name -> (converter, metavar); a metavar {a,b} lists the only values
+# The command line `[--out PATH] COMMAND ...`: each command's help line and
+# the arguments of its function `cmd_<command>`, in the order it takes them,
+# name -> (converter, metavar); a metavar {a,b} lists the only values
 # allowed. A name without `--` is a positional. Every argument but --out is
-# required.
+# required. `main` looks the function up by name when it runs, so a
+# replacement set on the module is the one called.
 _COMMANDS = {
-    "table": ("reference tables on the integer SNR grid 1..12", cmd_table, {"which": (int, "{1,2,3}")}),
-    "sweep": ("evaluate selected columns over an SNR grid", cmd_sweep, {"--start": (float, "FLOAT"), "--stop": (float, "FLOAT"),
+    "table": ("reference tables on the integer SNR grid 1..12", {"which": (int, "{1,2,3}")}),
+    "sweep": ("evaluate selected columns over an SNR grid", {"--start": (float, "FLOAT"), "--stop": (float, "FLOAT"),
               "--step": (float, "FLOAT"), "--scale": (str, "{db,linear}"), "--cols": (_parse_columns, "LIST")}),
-    "mc": ("run the Monte-Carlo oracle at one SNR", cmd_mc, {"--snr-db": (float, "FLOAT"), "--symbols": (int, "INT"), "--seed": (int, "INT")}),
-    "constants": ("emit the root and sharp constant with residual", cmd_constants, {}),
+    "mc": ("run the Monte-Carlo oracle at one SNR", {"--snr-db": (float, "FLOAT"), "--symbols": (int, "INT"), "--seed": (int, "INT")}),
+    "constants": ("emit the root and sharp constant with residual", {}),
 }
 _TOP = {"--out": (str, "PATH"), "command": (str, "{%s}" % ",".join(_COMMANDS))}
 
@@ -229,7 +231,7 @@ def _help(command: str | None) -> str:
     text = "usage: dqpsk-ber [--out PATH] COMMAND ...\n\nExact DQPSK bit error rate, bounds and approximations as CSV.\n\n"
     text += "options:\n  --out PATH\n      write the CSV to PATH atomically instead of stdout\n\ncommands:\n"
     for name in [command] if command else _COMMANDS:
-        doc, _, spec = _COMMANDS[name]
+        doc, spec = _COMMANDS[name]
         words = [name] + [f"{arg} {meta}" if arg[0] == "-" else meta for arg, (_, meta) in spec.items()]
         text += f"  {' '.join(words)}\n      {doc}\n"
     return text
@@ -271,7 +273,7 @@ def _parse(argv: list[str]) -> dict:
             args[name] = convert(value)
         except ValueError as exc:
             _usage_error(f"argument {name}: {exc}")
-        spec = _COMMANDS[value][2] if name == "command" else spec
+        spec = _COMMANDS[value][1] if name == "command" else spec
     if missing := [n for n in spec if n not in args]:  # "command", while spec is still _TOP
         _usage_error(f"the following arguments are required: {', '.join(missing)}")
     return args
@@ -363,7 +365,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
-    _, run, spec = _COMMANDS[args["command"]]
+    run = globals()["cmd_" + args["command"]]
+    _, spec = _COMMANDS[args["command"]]
     try:
         _emit(run(*map(args.get, spec)), args["--out"])
     except (ValueError, OSError) as exc:

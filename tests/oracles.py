@@ -1,13 +1,14 @@
 """Independent reference implementations.
 
-Everything but ref_chunk_errors and ref_omega5..7 is computed from first
-principles with mpmath at 30 significant digits, sharing no code with the
-package: the grid tests compare the shipped double-precision kernels
-against these. ref_chunk_errors is the Monte-Carlo chunk kernel in its
-plain allocating form, the reference for the documented draw order;
+Everything but ref_chunk_errors, ref_omega5..7 and solve_rho0 is computed
+from first principles with mpmath at 30 significant digits, sharing no
+code with the package: the grid tests compare the shipped double-precision
+kernels against these. ref_chunk_errors is the Monte-Carlo chunk kernel in
+its plain allocating form, the reference for the documented draw order;
 ref_omega5..7 are the weight functions in their np.piecewise form, the
 reference for the package's np.where form, which must match them bit for
-bit.
+bit. solve_rho0 is the double-precision solver whose two results the
+package stores as `bounds.solve_rho0()`, which must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy import special
 
 mp.mp.dps = 30
 
@@ -74,6 +76,48 @@ def ref_lambda0() -> mp.mpf:
     # lambda0 = e^rho0 (I0(rho0)/I1(rho0) - 1) at the root of (x+1) I1(x) = x I0(x)
     rho0 = mp.findroot(lambda x: (x + 1) * mp.besseli(1, x) - x * mp.besseli(0, x), 1.5)
     return mp.exp(rho0) * (mp.besseli(0, rho0) / mp.besseli(1, rho0) - 1)
+
+
+def _i0_i1(x: float) -> tuple[float, float]:
+    # Python floats, so the results do not depend on numpy's scalar type
+    return float(special.i0(x)), float(special.i1(x))
+
+
+def _rho_equation(x: float) -> float:
+    i0, i1 = _i0_i1(x)
+    return (x + 1.0) * i1 - x * i0
+
+
+def _rho_equation_prime(x: float) -> float:
+    i0, i1 = _i0_i1(x)
+    return x * i0 - x * i1 - i1 / x
+
+
+def solve_rho0() -> tuple[float, float]:
+    """Unique positive root rho0 of (x+1) I1(x) = x I0(x) and lambda0 = e^rho0 (I0/I1 - 1) there.
+
+    Bracketing bisection on [1, 2] followed by Newton refinement to
+    |f(rho0)| <= 1e-14, in double precision with scipy.special.i0 and i1.
+    """
+    lo, hi = 1.0, 2.0
+    flo = _rho_equation(lo)
+    if flo * _rho_equation(hi) >= 0.0:
+        raise RuntimeError("root bracket [1, 2] failed")
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if flo * _rho_equation(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+            flo = _rho_equation(lo)
+    root = 0.5 * (lo + hi)
+    for _ in range(4):
+        root -= _rho_equation(root) / _rho_equation_prime(root)
+    if abs(_rho_equation(root)) > 1e-14:
+        raise RuntimeError("root refinement did not reach 1e-14 residual")
+    i0, i1 = _i0_i1(root)
+    lam = math.exp(root) * (i0 / i1 - 1.0)
+    return root, lam
 
 
 def ref_bounds(gamma_lin: float) -> dict[str, mp.mpf]:

@@ -179,6 +179,12 @@ class TestSolveRho0:
         assert i1 == pytest.approx(c.rho0 * i0 / (c.rho0 + 1.0), rel=1e-13)
 
 
+def test_stored_constants_are_the_solver_doubles():
+    # bit for bit: the last bits of u3, ber3 and ber7 depend on them
+    c = bounds.solve_rho0()
+    assert tuple(x.hex() for x in oracles.solve_rho0()) == (c.rho0.hex(), c.lambda0.hex())
+
+
 class TestBoundValues:
     def test_frozen_values_at_unit_snr(self):
         bs = bounds.bound_set(bounds.SnrPoint.from_linear(1.0))

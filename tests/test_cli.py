@@ -161,6 +161,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="column list must not be empty"):
             cli.cmd_sweep(1.0, 2.0, 1.0, "linear", [])
 
+    def test_main_runs_the_command_function_set_on_the_module(self, capsys, monkeypatch):
+        # the benchmark's self-test and tracer replace cli.cmd_sweep this way
+        calls = []
+        monkeypatch.setattr(cli, "cmd_sweep", lambda *args: calls.append(args) or "replaced\n")
+        code, out, _ = _run(capsys, "sweep", "--start", "1", "--stop", "2", "--step", "1", "--scale", "linear", "--cols", "l1")
+        assert (code, out, calls) == (0, "replaced\n", [(1.0, 2.0, 1.0, "linear", ["l1"])])
+
     def test_first_offending_row_wins_across_columns(self, capsys):
         # row 0 (gamma 1e-13) is outside ber4's domain and the rows beyond
         # ~1270 give exact = 0, so eps5 is undefined there: the error must
