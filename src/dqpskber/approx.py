@@ -7,7 +7,8 @@ driven by the piecewise weight functions omega5..omega7. `_FORMULAS`
 extends the table of `bounds` with the weights, the approximations and
 eps5..eps7; `evaluate` computes any of the 19 sweep columns (`COLUMNS`)
 over an array of SNRs in one call, and only the entries they need. The
-scalar functions read the same table at one SNR.
+scalar functions read the same table at one SNR, and omega5..omega7
+read its w5..w7 entries at a scalar or an array.
 
 Weight-argument convention: the weight functions take the LINEAR bit
 SNR. This was fixed empirically by evaluating the relative errors of
@@ -62,67 +63,40 @@ def weighted_mean(x, y, w):
     return w * x + (1.0 - w) * y
 
 
-def _domain(g: np.ndarray, minimum_exclusive: bool):
-    # where a weight is defined (never at NaN), and the message for elsewhere
-    return (g > 0.0, "gamma must be positive") if minimum_exclusive else (g >= 0.0, "gamma must be >= 0")
-
-
-def _weight(gamma, minimum_exclusive: bool, branches):
-    """`branches` at `gamma`, a float back for a scalar and an array for an
-    array; ValueError where `gamma` is NaN or below the weight's domain."""
+def _weight(gamma, name: str):
+    # the weight column `name` at `gamma`, read from the table on a 1-d array
+    # (numpy-scalar arithmetic can differ in the last bit): a float back for
+    # a scalar, an array of its shape for an array
     g = np.asarray(gamma, dtype=float)
-    ok, message = _domain(g, minimum_exclusive)
-    if np.count_nonzero(ok) < ok.size:
-        raise ValueError("gamma must not be NaN" if np.isnan(g).any() else message)
-    # branches on a 1-d array, so a scalar gets the array loops' last bit
-    # (numpy-scalar arithmetic can differ there)
-    with np.errstate(all="ignore"):
-        w = branches(g.reshape(-1)).reshape(g.shape)
-    return float(w) if np.ndim(gamma) == 0 else w
+    w = bounds._evaluate(g.reshape(-1), (name,), _FORMULAS)[name].reshape(g.shape)
+    return float(w) if g.ndim == 0 else w
 
 
 def omega5(gamma):
     """Weight for the ber5 mean, two branches split at gamma = 1 (linear SNR)."""
-    return _weight(gamma, True, lambda x: np.where(
-        x < 1.0,
-        0.65 * x**0.25,
-        0.5 + 1.1 * np.exp(-math.pi / (2.0 * np.sqrt(x))) / x**1.5 * math.sqrt(0.5),
-    ))
+    return _weight(gamma, "w5")
 
 
 def omega6(gamma):
     """Weight for the ber6 mean, three branches split at gamma = 1 and 5."""
-    return _weight(gamma, False, lambda x: np.where(
-        x < 1.0,
-        np.exp(-x * x / 2.9) * 0.25 + 0.5,
-        np.where(
-            x < 5.0,
-            np.exp(-1.0 / (2.0 * x + 1.0)) / (x + 0.5) ** 1.5 * math.sqrt(1.0 / (2.0 * math.pi)) * 1.15 + 0.5,
-            (1.0 / math.pi) / (1.0 + x) * 0.65 + 0.5,
-        ),
-    ))
+    return _weight(gamma, "w6")
 
 
 def omega7(gamma):
     """Weight for the ber7 mean, three branches split at gamma = 1 and 8."""
-    return _weight(gamma, False, lambda x: np.where(
-        x < 1.0,
-        (1.0 - x) ** 2 * 0.95,
-        np.where(x < 8.0, 0.5 - 1.4 * np.exp(-(x**1.2)) + 0.02, 1.0 / (5.2 * x) + 0.5),
-    ))
+    return _weight(gamma, "w7")
 
 
 def _weight_gamma(r, minimum_exclusive: bool) -> np.ndarray:
-    """"gamma" for a weight column: the rows outside the weight's domain are
-    recorded through `r.check` and set to 1, so the weight function, which
-    would raise, computes the others and `_evaluate` reports the lowest row."""
+    """"gamma" for a weight column, once its NaN rows and those below the
+    weight's domain are recorded through `r.check`; `_evaluate` reports the
+    lowest and discards the values computed there."""
     g = r["gamma"]
-    ok, message = _domain(g, minimum_exclusive)
+    ok = g > 0.0 if minimum_exclusive else g >= 0.0  # never at NaN
     if np.count_nonzero(ok) < ok.size:
         nan = np.isnan(g)
         r.check(g, ~nan, "gamma must not be NaN")
-        r.check(g, ok | nan, message)
-        g = np.where(ok, g, 1.0)
+        r.check(g, ok | nan, "gamma must be positive" if minimum_exclusive else "gamma must be >= 0")
     return g
 
 
@@ -134,16 +108,33 @@ def _ber4(r) -> np.ndarray:
 
 
 # The table of `bounds` plus every column built on it: the closed forms in
-# the docstrings of the scalar functions below. The weights read "gamma"
-# with their own domain check, not "g", as omega6 and omega7 are defined
-# at 0; they and weighted_mean are looked up at each call, so a wrapper
-# set on the module sees it. eps<k> reads "exact>0", the exact BER once
-# checked, after ber<k>.
+# the docstrings of the scalar functions below, and the weights, the only
+# place their branches and domain check are written. The weights read
+# "gamma" through `_weight_gamma`, not "g", as w6 and w7 are defined at 0.
+# Only weighted_mean is looked up at each call, so a wrapper set on the
+# module sees it. eps<k> reads "exact>0", the exact BER once checked,
+# after ber<k>.
 _FORMULAS = {
     **bounds._FORMULAS,
-    "w5": lambda r: omega5(_weight_gamma(r, True)),
-    "w6": lambda r: omega6(_weight_gamma(r, False)),
-    "w7": lambda r: omega7(_weight_gamma(r, False)),
+    "w5": lambda r: np.where(
+        (x := _weight_gamma(r, True)) < 1.0,
+        0.65 * x**0.25,
+        0.5 + 1.1 * np.exp(-math.pi / (2.0 * np.sqrt(x))) / x**1.5 * math.sqrt(0.5),
+    ),
+    "w6": lambda r: np.where(
+        (x := _weight_gamma(r, False)) < 1.0,
+        np.exp(-x * x / 2.9) * 0.25 + 0.5,
+        np.where(
+            x < 5.0,
+            np.exp(-1.0 / (2.0 * x + 1.0)) / (x + 0.5) ** 1.5 * math.sqrt(1.0 / (2.0 * math.pi)) * 1.15 + 0.5,
+            (1.0 / math.pi) / (1.0 + x) * 0.65 + 0.5,
+        ),
+    ),
+    "w7": lambda r: np.where(
+        (x := _weight_gamma(r, False)) < 1.0,
+        (1.0 - x) ** 2 * 0.95,
+        np.where(x < 8.0, 0.5 - 1.4 * np.exp(-(x**1.2)) + 0.02, 1.0 / (5.2 * x) + 0.5),
+    ),
     "ber1": lambda r: _SQRT_PI_8 * (r["a"] + r["b"]) * r["ive"] * r["e"],
     "ber2": lambda r: (_SQRT_PI_8 * r["ive"] * r["big_e"] * ((r["a"] + r["b"]) - (r["a"] - r["b"]) * r["exp_2ab"])
                        / (1.0 - r["exp_2ab"] * r["exp_2ab"])),

@@ -125,6 +125,13 @@ class TestWeightFunctions:
             approx.omega7(-1e-9)
         with pytest.raises(ValueError):
             approx.omega5(float("nan"))
+        # an array reports its lowest offending element, as evaluate does
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            approx.omega6(np.array([-1.0, np.nan]))
+        with pytest.raises(ValueError, match="gamma must not be NaN"):
+            approx.omega6(np.array([np.nan, -1.0]))
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            approx.omega5(np.array([[1.0, 2.0], [0.0, 3.0]]))
 
 
 class TestFixedWeightApproximations:
@@ -382,17 +389,6 @@ class TestEvaluate:
                 approx.evaluate(np.array(gamma), ["l1"])
         assert approx.evaluate(np.array([0.0]), ["w6", "w7"])["w6"][0] == 0.75
 
-    def test_weights_looked_up_at_call_time(self, monkeypatch):
-        # a wrapper set on the module, as a tracer does, sees evaluate's call
-        calls = []
-        omega6 = approx.omega6
-        monkeypatch.setattr(approx, "omega6", lambda g: calls.append(g) or omega6(g))
-        gs = np.array([0.5, 2.0, 7.0])
-        values = approx.evaluate(gs, ["ber6"])["ber6"]
-        assert len(calls) == 1 and calls[0].tolist() == gs.tolist()
-        monkeypatch.undo()
-        assert values.tolist() == approx.evaluate(gs, ["ber6"])["ber6"].tolist()
-
     @pytest.mark.parametrize("columns, means", [(["l1", "w5"], 0), (["eps6"], 1), (["ber5", "eps5", "w7"], 1),
                                                 (approx.COLUMNS, 3)])
     def test_weighted_means_only_when_requested(self, monkeypatch, columns, means):
@@ -434,3 +430,9 @@ class TestEvaluate:
             values = omega(gs)
             assert isinstance(values, np.ndarray)
             assert values.tolist() == [omega(float(g)) for g in gs]
+        # omega<k> reads the table's w<k> entry, bit for bit and in any shape
+        g = np.arange(0.25, 15.25, 0.25).reshape(4, 15)  # holds each breakpoint
+        for k, omega in ((5, approx.omega5), (6, approx.omega6), (7, approx.omega7)):
+            values, table = omega(g), approx.evaluate(g, [f"w{k}"])[f"w{k}"]
+            assert values.shape == table.shape == g.shape
+            assert np.array_equal(values.view(np.uint64), table.view(np.uint64)), k

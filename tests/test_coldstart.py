@@ -1,9 +1,9 @@
 """Cold start: importing the package, the exact BER (scalar, array and
-`sweep --cols exact`), the stored constants, the CLI's usage and its
-Monte-Carlo run load numpy but not scipy, and the usage no argparse; the
-closed forms import scipy.special on first use, from any thread. Each
-check runs in a fresh interpreter, because the test process has scipy
-loaded already."""
+`sweep --cols exact`), the weights (omega5..omega7 and their columns), the
+stored constants, the CLI's usage and its Monte-Carlo run load numpy but
+not scipy, and the usage no argparse; the closed forms import
+scipy.special on first use, from any thread. Each check runs in a fresh
+interpreter, because the test process has scipy loaded already."""
 
 import contextlib
 import dataclasses
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import dqpskber
-from dqpskber import SnrPoint, approx_set, cli, evaluate, solve_rho0
+from dqpskber import SnrPoint, approx, approx_set, cli, evaluate, solve_rho0
 
 SRC = str(Path(dqpskber.__file__).resolve().parent.parent)
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,11 +45,14 @@ def test_import_exact_ber_and_help_load_no_scipy():
         import contextlib, dataclasses, io, json, sys
         import numpy as np
         import dqpskber, dqpskber.cli
-        from dqpskber import SnrPoint, approx_set, evaluate, exact_ber, solve_rho0
+        from dqpskber import SnrPoint, approx, approx_set, evaluate, exact_ber, solve_rho0
 
         exact_ber(SnrPoint.from_db(6))
         constants = dataclasses.astuple(solve_rho0())
-        exact = evaluate(np.linspace(0.5, 40.0, 101), ["exact"])["exact"].tolist()
+        g = np.linspace(0.5, 40.0, 101)
+        exact = evaluate(g, ["exact"])["exact"].tolist()
+        omegas = [approx.omega5(g).tolist(), approx.omega6(0.0), approx.omega7(8.0)]
+        weights = {k: v.tolist() for k, v in evaluate(g, ["w5", "w6", "w7"]).items()}
         with contextlib.redirect_stdout(io.StringIO()) as sweep:
             code = dqpskber.cli.main(SWEEP)
         with contextlib.redirect_stdout(io.StringIO()) as usage:
@@ -61,7 +64,8 @@ def test_import_exact_ber_and_help_load_no_scipy():
         argparse = "argparse" in sys.modules
         closed = dataclasses.astuple(approx_set(SnrPoint.from_db(6)))
         print(json.dumps({"scipy": loaded, "argparse": argparse, "usage": usage.getvalue(), "closed": closed,
-                          "exact": exact, "code": code, "sweep": sweep.getvalue(), "constants": constants}))
+                          "exact": exact, "code": code, "sweep": sweep.getvalue(), "constants": constants,
+                          "omegas": omegas, "weights": weights}))
         """.replace("SWEEP", repr(SWEEP_EXACT))
     )
     assert got["scipy"] == []
@@ -69,7 +73,10 @@ def test_import_exact_ber_and_help_load_no_scipy():
     assert got["usage"].startswith("usage:")
     assert tuple(got["closed"]) == dataclasses.astuple(approx_set(SnrPoint.from_db(6)))
     assert tuple(got["constants"]) == dataclasses.astuple(solve_rho0())
-    assert got["exact"] == evaluate(np.linspace(0.5, 40.0, 101), ["exact"])["exact"].tolist()
+    g = np.linspace(0.5, 40.0, 101)
+    assert got["exact"] == evaluate(g, ["exact"])["exact"].tolist()
+    assert got["omegas"] == [approx.omega5(g).tolist(), approx.omega6(0.0), approx.omega7(8.0)]
+    assert got["weights"] == {k: v.tolist() for k, v in evaluate(g, ["w5", "w6", "w7"]).items()}
     with contextlib.redirect_stdout(io.StringIO()) as sweep:
         assert cli.main(SWEEP_EXACT) == got["code"] == 0
     assert got["sweep"] == sweep.getvalue()
