@@ -64,12 +64,11 @@ def weighted_mean(x, y, w):
 
 
 def _weight(gamma, name: str):
-    # the weight column `name` at `gamma`, read from the table on a 1-d array
-    # (numpy-scalar arithmetic can differ in the last bit): a float back for
-    # a scalar, an array of its shape for an array
-    g = np.asarray(gamma, dtype=float)
-    w = bounds._evaluate(g.reshape(-1), (name,), _FORMULAS)[name].reshape(g.shape)
-    return float(w) if g.ndim == 0 else w
+    # the weight column `name` from `evaluate`, an array of gamma's shape; a
+    # float for a scalar, read from evaluate's 1-element array, not from
+    # numpy-scalar arithmetic, which can differ in the last bit
+    w = evaluate(gamma, (name,))[name]
+    return float(w[0]) if np.ndim(gamma) == 0 else w
 
 
 def omega5(gamma):
@@ -157,6 +156,7 @@ def evaluate(gamma_lin, columns) -> dict[str, np.ndarray]:
     ValueError for an unknown column, and for the lowest-index SNR at which
     a requested column is undefined, with the scalar function's message.
     """
+    columns = tuple(columns)  # read a one-shot iterable once
     if not _KNOWN.issuperset(columns):
         raise ValueError(f"unknown columns {[c for c in columns if c not in _KNOWN]!r}")
     return bounds._evaluate(np.atleast_1d(np.asarray(gamma_lin, dtype=float)), columns, _FORMULAS)

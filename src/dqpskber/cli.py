@@ -39,10 +39,6 @@ from .bounds import _ROWS  # rows per block of `_csv`, which bounds the renderer
 
 _MAX_GRID_POINTS = 10**7
 
-# Guard for the mc subcommand: vanishingly small linear SNR (e.g. -300 dB)
-# is rejected rather than simulated.
-_MC_GAMMA_FLOOR = 1e-12
-
 # table number -> (CSV header, columns evaluated on the linear SNR grid 1..12)
 _TABLES = {
     1: ("gamma_db,ber,ber1,ber2,ber3", ("exact", "ber1", "ber2", "ber3")),
@@ -172,8 +168,6 @@ def cmd_sweep(start: float, stop: float, step: float, scale: str, columns: list[
 def cmd_mc(snr_db: float, symbols: int, seed: int) -> str:
     """One Monte-Carlo run against the exact value; inside_ci is 0/1."""
     snr = bounds.SnrPoint.from_db(snr_db)
-    if snr.gamma_lin < _MC_GAMMA_FLOOR:
-        raise ValueError("gamma must be positive and not vanishingly small (>= 1e-12 linear)")
     result = montecarlo.simulate(montecarlo.McConfig(snr=snr, num_symbols=symbols, seed=seed))
     exact = bounds.exact_ber(snr)
     inside = int(abs(result.ber_estimate - exact) <= result.ci_half_width)
@@ -279,11 +273,10 @@ def _parse(argv: list[str]) -> dict:
     return args
 
 
-# `--out` temp files: a new name only, never through a symlink, and no
-# newline translation (O_BINARY, on Windows); the optional flags are
-# distinct bits, so their sum is their union.
-_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | sum(getattr(os, f, 0) for f in ("O_NOFOLLOW", "O_CLOEXEC", "O_BINARY"))
-_TEMP_TRIES = 8
+# `--out` temp files: a new name only, so never through a symlink, and no
+# newline translation (O_BINARY, on Windows). `os.open` makes every
+# descriptor non-inheritable already.
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
 @functools.cache
@@ -310,26 +303,16 @@ def _write(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view) :]
 
 
-def _temp(directory: str) -> tuple[int, str]:
-    """A new file of mode 0666 less the umask, named `.dqpskber-<64 random
-    bits>.tmp` in `directory`: its descriptor and path."""
-    for attempt in range(_TEMP_TRIES):
-        path = os.path.join(directory, f".dqpskber-{os.urandom(8).hex()}.tmp")
-        try:
-            return os.open(path, _TEMP_FLAGS, 0o666), path
-        except FileExistsError:
-            if attempt == _TEMP_TRIES - 1:
-                raise
-
-
 def _emit(text: str, out_path: str | None) -> None:
     """Write `text` to stdout, or to `out_path` atomically for readers (no fsync).
 
-    A new file takes the mode bits of the regular file it replaces. An
-    existing file is swapped out rather than renamed over: on ext4 a rename
-    over a file starts a disk write of the new one (auto_da_alloc) on every
-    call, whose time follows the disk's load. A FIFO or device is written in
-    place, as the shell's `>` would."""
+    The text goes to a new file named `.dqpskber-<64 random bits>.tmp` beside
+    `out_path` (if that name is taken, the open fails with "File exists"), of
+    mode 0666 less the umask or the mode bits of the regular file it
+    replaces. An existing file is swapped out rather than renamed over: on
+    ext4 a rename over a file starts a disk write of the new one
+    (auto_da_alloc) on every call, whose time follows the disk's load. A
+    FIFO or device is written in place, as the shell's `>` would."""
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -339,13 +322,14 @@ def _emit(text: str, out_path: str | None) -> None:
     except OSError:  # missing, a symlink loop, ...: the temp file or rename reports real faults
         mode = 0
     if mode and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
-        fd = os.open(out_path, os.O_WRONLY | getattr(os, "O_CLOEXEC", 0))
+        fd = os.open(out_path, os.O_WRONLY)
         try:
             _write(fd, data)
         finally:
             os.close(fd)
         return
-    fd, tmp_path = _temp(os.path.dirname(out_path) or os.curdir)
+    tmp_path = os.path.join(os.path.dirname(out_path), f".dqpskber-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp_path, _TEMP_FLAGS, 0o666)
     try:
         try:
             if stat.S_ISREG(mode) and hasattr(os, "fchmod"):  # Windows has it from Python 3.13

@@ -29,6 +29,9 @@ order above is unchanged. Chunk results are summed as integers, so a
 given McConfig always yields a bit-identical McResult, however many CPUs
 run it. The confidence half-width takes its normal quantile from
 statistics.NormalDist, so the simulation loads no scipy.
+
+McConfig rejects a linear SNR below 1e-12 with ValueError: there the noise
+is so large that the detector's products overflow to NaN.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ class McConfig:
         import numbers
         import operator
 
+        # first, so `mc` reports it before a bad run size; below it the noise
+        # sigma 1/sqrt(4 gamma) overflows the detector's products to NaN
+        if self.snr.gamma_lin < 1e-12:
+            raise ValueError("gamma must be positive and not vanishingly small (>= 1e-12 linear)")
         for name in ("num_symbols", "seed"):
             try:
                 object.__setattr__(self, name, operator.index(getattr(self, name)))

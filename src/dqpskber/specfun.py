@@ -24,24 +24,12 @@ import numpy as np
 _QUAD_EPSREL = 1e-12
 
 
-def _check_real(x: float, name: str) -> float:
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError(f"{name} must not be NaN")
-    return x
-
-
-def _check_nonneg(x: float) -> float:
-    x = _check_real(x, "x")
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    return x
-
-
 def bessel_i0_scaled(x: float) -> float:
     """exp(-x) I0(x) (`scipy.special.i0e`); strictly decreasing, in (0, 1], never overflows."""
     from scipy import special
-    return float(special.i0e(_check_nonneg(x)))
+    if not x >= 0.0:  # also NaN
+        raise ValueError("x must be >= 0")
+    return float(special.i0e(x))
 
 
 def marcum_q_series(a: float, b: float) -> float:
@@ -89,10 +77,9 @@ def marcum_q_quad(a: float, b: float) -> float:
 
 
 def _check_marcum_args(a: float, b: float) -> tuple[float, float]:
-    a = _check_real(a, "a")
-    b = _check_real(b, "b")
-    if a <= 0.0:
+    a, b = float(a), float(b)
+    if not a > 0.0:  # also NaN, as below
         raise ValueError("a must be > 0")
-    if b < 0.0:
+    if not b >= 0.0:
         raise ValueError("b must be >= 0")
     return a, b

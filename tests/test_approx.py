@@ -343,6 +343,15 @@ class TestEvaluate:
                 tol = 1e-15 if name.startswith("eps") else 0.0
                 assert columns[name][i] == pytest.approx(value, rel=1e-14, abs=tol), (name, gs[i])
 
+    def test_columns_may_be_a_one_shot_iterable(self):
+        gs, names = [1.0, 2.0], ["exact", "l1", "w5"]
+        listed, once = approx.evaluate(gs, names), approx.evaluate(gs, iter(names))
+        assert list(once) == names
+        for name in names:
+            assert np.array_equal(once[name].view(np.uint64), listed[name].view(np.uint64)), name
+        with pytest.raises(ValueError, match="unknown columns \\['nope'\\]"):
+            approx.evaluate(gs, iter(["exact", "nope"]))
+
     def test_exact_row_depends_on_its_own_snr_only(self):
         # each row sums its own nodes in a fixed order, so neither the other
         # rows, their order nor the block a row falls in changes its bits

@@ -476,18 +476,27 @@ class TestOutFile:
             assert stat.S_IMODE(target.stat().st_mode) == 0o640
         assert target.read_text().startswith("gamma_db,ber4,")
 
-    def test_temp_name_clash_is_retried_a_bounded_number_of_times(self, tmp_path, monkeypatch, capsys):
+    def test_temp_name_clash_fails_and_clobbers_nothing(self, tmp_path, monkeypatch, capsys):
         taken = tmp_path / ".dqpskber-0000000000000000.tmp"
         taken.write_text("kept\n")
         target = tmp_path / "t.csv"
-        names = iter([b"\0" * 8, b"\0" * 8, b"\1" * 8])
-        monkeypatch.setattr(os, "urandom", lambda n: next(names))
         assert cli.main(["--out", str(target), "table", "1"]) == 0
         monkeypatch.setattr(os, "urandom", lambda n: b"\0" * n)
         code, out, err = _run(capsys, "--out", str(target), "table", "2")
         assert (code, out) == (1, "") and "File exists" in err
         assert target.read_text().startswith("gamma_db,ber,") and taken.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "t.csv"]
+
+    def test_symlink_at_temp_name_is_not_followed(self, tmp_path, monkeypatch, capsys):
+        planted = tmp_path / ".dqpskber-0000000000000000.tmp"
+        aim = tmp_path / "aim"
+        planted.symlink_to(aim)
+        target = tmp_path / "t.csv"
+        monkeypatch.setattr(os, "urandom", lambda n: b"\0" * n)
+        code, out, err = _run(capsys, "--out", str(target), "table", "1")
+        assert (code, out) == (1, "") and "File exists" in err
+        assert not aim.exists() and not target.exists()
+        assert planted.is_symlink() and sorted(p.name for p in tmp_path.iterdir()) == [planted.name]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
     def test_fifo_target_is_written_in_place(self, tmp_path, capsys):

@@ -42,6 +42,16 @@ class TestConfigValidation:
         assert type(numpy_ints.num_symbols) is int and type(numpy_ints.seed) is int
         assert simulate(numpy_ints) == simulate(_config(num_symbols=10**4, seed=3))
 
+    def test_rejects_vanishing_snr(self):
+        # the floor is the library's, not only the CLI's: below it the noise
+        # overflows the detector's products and decisions compare NaNs
+        for g in (1e-310, 1e-13):
+            with pytest.raises(ValueError, match="not vanishingly small"):
+                McConfig(SnrPoint.from_linear(g), 1000, 0)
+        # at the floor it runs, with no RuntimeWarning (an error under pytest's filterwarnings)
+        result = simulate(McConfig(SnrPoint.from_linear(1e-12), 1000, 0))
+        assert 0.0 <= result.ber_estimate <= 1.0
+
     def test_snr_domain_error_comes_from_snrpoint(self):
         with pytest.raises(ValueError):
             SnrPoint.from_linear(-2.0)

@@ -232,6 +232,13 @@ class TestMarcumQ:
             specfun.marcum_q_quad(1.0, -0.1)
         with pytest.raises(ValueError):
             specfun.marcum_q_quad(float("nan"), 1.0)
+        # one comparison per argument also rejects NaN, with the domain message
+        with pytest.raises(ValueError, match="b must be >= 0"):
+            specfun.marcum_q_quad(1.0, float("nan"))
+        with pytest.raises(ValueError, match="a must be > 0"):
+            specfun.marcum_q_series(float("nan"), 1.0)
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            specfun.bessel_i0_scaled(float("nan"))
 
 
 def test_marcum_level_bound_sandwich():
