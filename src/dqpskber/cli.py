@@ -54,29 +54,16 @@ _GAMMA = "%.6g"
 _POW10 = np.array([float(f"1e{k}") for k in range(-330, 331)])
 
 
-def _tables() -> tuple[np.ndarray, ...]:
-    """The word tables of `_cells`: 8 ASCII bytes a word, NUL-padded, in
-    the host's byte order, so an OR of two words keeps every byte in place.
-
-    A cell with sign bit s, six-digit mantissa m and exponent e is two
-    words: _HEAD[m // 1000], with _MINUS ORed in where s is set, holds ","
-    and the first three digits as "d.dd"; _TAIL[m % 1000] | _EXP[e + 330]
-    the last three, then "e" and the exponent with its sign (2 or 3 digits).
-    """
-    digits = np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")  # "%03d" % k
-    head, minus, tail = np.zeros((1000, 8), np.uint8), np.zeros((1, 8), np.uint8), np.zeros((1000, 8), np.uint8)
-    head[:, 0], head[:, 3], head[:, [2, 4, 5]] = ord(","), ord("."), digits
-    minus[0, 1] = ord("-")
-    tail[:, :3] = digits
-    e = np.arange(-330, 331)
-    exp = np.zeros((e.size, 8), np.uint8)
-    exp[:, 3], exp[:, 4], exp[:, 5:] = ord("e"), np.where(e < 0, ord("-"), ord("+")), digits[abs(e)]
-    narrow = abs(e) < 100  # two exponent digits: drop the leading 0
-    exp[narrow, 5:7], exp[narrow, 7] = exp[narrow, 6:], 0
-    return tuple(t.view(np.uint64).ravel() for t in (head, minus, tail, exp))
-
-
-_HEAD, _MINUS, _TAIL, _EXP = _tables()
+# The word tables of `_cells`: each the `%` text of a piece of a cell as one
+# NUL-padded 8-byte word. A cell with sign bit s, six-digit mantissa m and
+# exponent e is two words: _HEAD[m // 1000 + 1000 s] holds "," and the sign
+# (NUL or "-"), then the first three digits as "d.dd"; _TAIL[m % 1000] |
+# _EXP[e + 330] the last three, then "e" and the exponent with its sign.
+# _TAIL and _EXP words fill disjoint bytes, so their OR keeps every byte in
+# place on either byte order.
+_HEAD = np.array([b",%c%d.%02d" % (s, k // 100, k % 100) for s in b"\0-" for k in range(1000)], "S8").view(np.uint64)
+_TAIL = np.array([b"%03d" % k for k in range(1000)], "S8").view(np.uint64)
+_EXP = np.array([b"\0\0\0e%+03d" % e for e in range(-330, 331)], "S8").view(np.uint64)
 
 
 def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +79,8 @@ def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2.3e-15 below 10^e, which `%` rounds up to 1.00000 with exponent e.
     Where log10 put e one too low, or the sixth digit carries into the
     exponent, rint(y) = 1e6 and the cell is not proven. Nor are nan, inf,
-    subnormals and |x| outside [1e-300, 1e300); -0.0 prints as -0.00000e+00.
+    subnormals and |x| outside [1e-300, 1e300). The sign bit picks the "-"
+    half of `_HEAD`, so -0.0 prints as -0.00000e+00.
     """
     a = np.abs(values)
     with np.errstate(invalid="ignore"):  # signalling NaNs
@@ -106,8 +94,7 @@ def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok &= (np.abs(y - r) < 0.5 - 1e-9) & (y >= 1e5) & (r < 1e6)
     r[zero] = 0.0  # 0.00000e+00
     head, tail = np.divmod(r.astype(np.int64), 1000)
-    first = _HEAD.take(head, mode="clip")  # rint(y) >= 1e6 (unproven) runs past the table
-    first[np.signbit(values)] |= _MINUS
+    first = _HEAD.take(head + 1000 * np.signbit(values), mode="clip")  # unproven rint(y) >= 1e6 runs past its half
     cells = np.stack([first, _TAIL[tail] | _EXP[e + 330]], axis=-1)
     return cells.view(np.uint8), ok
 

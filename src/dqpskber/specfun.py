@@ -5,8 +5,11 @@
 `bounds` computes the exact BER without it, from the single-angle form,
 and the formula table takes its Bessel and error functions from
 `scipy.special` directly. The two routes here (series and adaptive
-quadrature) and the scaled Bessel function the quadrature integrates stay
-in the package because the benchmark's probe calls them by these names.
+quadrature) and the scaled Bessel function the quadrature integrates are
+not exported: they are reached as `dqpskber.specfun.*`, which `import
+dqpskber` loads. They stay in the package because the benchmark's probe
+(`perfbench/probe.py`) calls them, and its tracer wraps them, under these
+names.
 
 scipy is imported inside each function that calls it, not at module
 load, so importing the package loads numpy only; the first call pays

@@ -322,6 +322,41 @@ class TestApproxSet:
             prev = vals
 
 
+class TestLowSnrBoundaries:
+    """The low-SNR limits the README states, pinned where today's formulas
+    put them on dB grids (each point converted as the CLI does). Columns
+    that divide by 1 - e^{-2ab} or 1 - e^{-4ab} cancel as ab -> 0; a
+    cancellation-free form moves these boundaries on purpose, and this test
+    with them."""
+
+    @staticmethod
+    def _linear(db: np.ndarray) -> np.ndarray:
+        return np.array([bounds.db_to_linear(x) for x in db])
+
+    def test_cancelling_columns_turn_inf_then_negative(self):
+        db = np.arange(-170000, -159999) / 1000
+        values = approx.evaluate(self._linear(db), ["l2", "ber2", "ber3", "ber6", "ber7"])
+        negative = {"l2": (-167.973, -167.072), "ber7": (-167.973, -167.307)}
+        for name, v in values.items():
+            assert np.array_equal(np.isinf(v), db <= -167.974), name
+            assert not np.isnan(v).any(), name
+            lo, hi = negative.get(name, (0.0, -1.0))  # an empty range: never negative
+            assert np.array_equal(v < 0.0, (db >= lo) & (db <= hi)), name
+
+    def test_l1_negative_below_eleven_point_four_db(self):
+        db = np.arange(-11500, -11299) / 1000
+        l1 = approx.evaluate(self._linear(db), ["l1"])["l1"]
+        assert np.array_equal(l1 < 0.0, db <= -11.428)
+
+    def test_other_columns_finite_and_nonnegative_to_minus_300_db(self):
+        db = np.arange(-3000, -99) / 10
+        g = self._linear(db)
+        values = approx.evaluate(g, ["exact", "u1", "u2", "u3", "ber1", "ber5", "w5", "w6", "w7"])
+        values["ber4"] = approx.evaluate(g[db >= -120.0], ["ber4"])["ber4"]  # its 1e-12 floor
+        for name, v in values.items():
+            assert np.isfinite(v).all() and (v >= 0.0).all(), name
+
+
 class TestEvaluate:
     def test_array_call_matches_scalar_functions(self):
         # 5000 SNRs span two row blocks of the trapezoid sum

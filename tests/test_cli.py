@@ -541,7 +541,8 @@ def test_cell_tables_hold_ascii_in_byte_order():
         return table[i : i + 1].view(np.uint8).tobytes()
 
     assert text(cli._HEAD, 123) == b",\x001.23\0\0"
-    assert text(cli._HEAD | cli._MINUS, 0) == b",-0.00\0\0"
+    assert text(cli._HEAD, 1000) == b",-0.00\0\0"
+    assert text(cli._HEAD, 1000 + 123) == b",-1.23\0\0"
     assert text(cli._TAIL, 45) == b"045" + b"\0" * 5
     assert text(cli._EXP, 330 - 7) == b"\0\0\0e-07\0"
     assert text(cli._EXP, 330 + 307) == b"\0\0\0e+307"
