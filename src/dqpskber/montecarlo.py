@@ -19,16 +19,23 @@ Each chunk draws its own reference symbol's two noise normals first
 bits 2k, 2k+1), n in-phase normals and n quadrature normals. Nothing is
 carried from one chunk to the next, so bits_sent is still 2N.
 
-simulate runs the chunks on W worker threads, one per CPU in the
-process's affinity mask (numpy's fills and large ufuncs release the
-GIL), or in the calling thread when one chunk or one CPU leaves nothing
+simulate runs the chunks on W workers, one per CPU in the process's
+affinity mask (numpy's fills and large ufuncs release the GIL): the
+calling thread is worker 0 and W - 1 pool threads are the rest, and the
+calling thread runs everything when one chunk or one CPU leaves nothing
 to share. Worker k runs chunks k, k + W, k + 2W, ... (the chunks i with
-i mod W == k) in one float workspace it allocates per call and reuses
-from chunk to chunk, so chunks do not fault in fresh memory; the draw
-order above is unchanged. Chunk results are summed as integers, so a
-given McConfig always yields a bit-identical McResult, however many CPUs
-run it. The confidence half-width takes its normal quantile from
-statistics.NormalDist, so the simulation loads no scipy.
+i mod W == k) in a float workspace it allocates per call and reuses from
+chunk to chunk, so chunks do not fault in fresh memory. The workspace
+holds what the draw order makes a worker keep, about 1.3 MB: one
+chunk-long in-phase row, since all n in-phase normals come before the
+first quadrature one, and a (3, _TILE + 1) block for one tile of
+quadrature symbols and two scratch rows. The quadrature normals are
+drawn one tile at a time; consecutive standard_normal fills continue
+one stream, so the draw order above is unchanged. Chunk results are
+summed as integers, so a given McConfig always yields a bit-identical
+McResult, however many CPUs run it. The confidence half-width takes its
+normal quantile from statistics.NormalDist, so the simulation loads no
+scipy.
 
 McConfig rejects a linear SNR below 1e-12 with ValueError: there the noise
 is so large that the detector's products overflow to NaN.
@@ -45,6 +52,13 @@ import numpy as np
 from .bounds import SnrPoint
 
 _CHUNK = 1 << 16
+# quadrature normals are drawn and the arithmetic runs in tiles of this many
+# symbols; 2**14 and 2**13 kept 0.5-1 MB less but ran about 6% slower on two
+# threads, where more numpy calls per chunk contend for the GIL
+_TILE = 1 << 15
+# one allocation: as a separate row and block, glibc trimmed the heap after
+# each call and the next call faulted the workspace in again
+_WORK = _CHUNK + 1 + 3 * (_TILE + 1)
 
 _ANGLES = np.arange(8) * (math.pi / 4.0)
 _COS = np.cos(_ANGLES)
@@ -103,9 +117,14 @@ def _workers() -> int:
 def _chunk_errors(seed: int, index: int, n: int, sigma: float, work: np.ndarray) -> int:
     """Bit errors of chunk `index`: n data symbols after its own reference.
 
-    `work` is a (4, _CHUNK + 1) float scratch array, overwritten: rows 0
-    and 1 hold the symbols, rows 2 and 3 the carrier gathers and the
-    products, so a chunk's float passes allocate nothing.
+    `work` is a float scratch array of _WORK elements, overwritten, so a
+    chunk's float passes allocate nothing. Its first _CHUNK + 1 hold the
+    chunk's in-phase symbols x, all drawn in one fill; the rest is a
+    (3, _TILE + 1) tile block. Each tile of up to _TILE symbols draws its
+    quadrature normals into block row 0 after column 0, which carries the
+    previous tile's last symbol; rows 1 and 2 hold the carrier gathers and
+    the products. The symbol and product arithmetic runs tile by tile,
+    each element in the same order as in one pass over the chunk.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
     ref = sigma * rng.standard_normal(2) + (1.0, 0.0)
@@ -120,28 +139,34 @@ def _chunk_errors(seed: int, index: int, n: int, sigma: float, work: np.ndarray)
     t &= 7
 
     # column 0 is the reference symbol
-    x, y, p, q = work[:, : n + 1]
+    x = work[: n + 1]
+    y, p, q = work[_CHUNK + 1 :].reshape(3, _TILE + 1)
     x[0], y[0] = ref
-    x0, x1, y0, y1 = x[:-1], x[1:], y[:-1], y[1:]
-    p, q = p[:n], q[:n]
-    rng.standard_normal(out=x1)
-    rng.standard_normal(out=y1)
-    # t is in [0, 7], so mode="clip" takes the same entries; the default
-    # mode="raise" buffers `out` and takes about 5x as long
-    x1 *= sigma
-    x1 += np.take(_COS, t, out=p, mode="clip")
-    y1 *= sigma
-    y1 += np.take(_SIN, t, out=p, mode="clip")
+    rng.standard_normal(out=x[1:])
+    errors = 0
+    for s in range(0, n, _TILE):
+        k = min(_TILE, n - s)
+        x0, x1, y0, y1 = x[s : s + k], x[s + 1 : s + k + 1], y[:k], y[1 : k + 1]
+        ts, pk, qk = t[s : s + k], p[:k], q[:k]
+        rng.standard_normal(out=y1)
+        # t is in [0, 7], so mode="clip" takes the same entries; the default
+        # mode="raise" buffers `out` and takes about 5x as long
+        x1 *= sigma
+        x1 += np.take(_COS, ts, out=pk, mode="clip")
+        y1 *= sigma
+        y1 += np.take(_SIN, ts, out=pk, mode="clip")
 
-    # r_k conj(r_{k-1}) in real arithmetic: a complex multiply may be
-    # fused (FMA) and move a decision across a quadrant edge
-    re = np.multiply(x1, x0, out=p)
-    re += np.multiply(y1, y0, out=q)
-    # inverse Gray map of the detected quadrant: b0 = (im < 0), b1 = (re <= 0)
-    errors = int(np.count_nonzero(b1 != (re <= 0)))
-    im = np.multiply(y1, x0, out=p)
-    im -= np.multiply(x1, y0, out=q)
-    return errors + int(np.count_nonzero(b0 != (im < 0)))
+        # r_k conj(r_{k-1}) in real arithmetic: a complex multiply may be
+        # fused (FMA) and move a decision across a quadrant edge
+        re = np.multiply(x1, x0, out=pk)
+        re += np.multiply(y1, y0, out=qk)
+        # inverse Gray map of the detected quadrant: b0 = (im < 0), b1 = (re <= 0)
+        errors += int(np.count_nonzero(b1[s : s + k] != (re <= 0)))
+        im = np.multiply(y1, x0, out=pk)
+        im -= np.multiply(x1, y0, out=qk)
+        errors += int(np.count_nonzero(b0[s : s + k] != (im < 0)))
+        y[0] = y[k]
+    return errors
 
 
 def simulate(config: McConfig) -> McResult:
@@ -159,7 +184,7 @@ def simulate(config: McConfig) -> McResult:
     workers = min(_workers(), chunks)
 
     def run(k: int) -> int:
-        work = np.empty((4, _CHUNK + 1))
+        work = np.empty(_WORK)
         return sum(
             _chunk_errors(config.seed, i, min(_CHUNK, num - i * _CHUNK), sigma, work)
             for i in range(k, chunks, workers)
@@ -170,8 +195,10 @@ def simulate(config: McConfig) -> McResult:
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            bit_errors = sum(pool.map(run, range(workers)))
+        # the calling thread is worker 0
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            rest = pool.map(run, range(1, workers))
+            bit_errors = run(0) + sum(rest)
 
     bits_sent = 2 * num
     p_hat = bit_errors / bits_sent

@@ -93,13 +93,16 @@ class TestDeterminism:
             assert type(r.bit_errors) is int and type(r.ber_estimate) is float
 
     def test_matches_reference_chunks(self, monkeypatch):
-        # The reference kernel allocates fresh arrays per chunk; the shipped
-        # one reuses a workspace per worker, where a ragged last chunk that
-        # follows full ones must not read their stale symbols.
+        # The reference kernel allocates fresh arrays per chunk and draws a
+        # chunk's quadrature normals in one fill; the shipped one reuses a
+        # workspace per worker, where a ragged last chunk that follows full
+        # ones must not read their stale symbols, and draws them one tile at
+        # a time, where a ragged last tile (40_000 = 2**15 + 7232 symbols)
+        # must carry the right symbol over.
         for db in (-10.0, 0.0, 6.0, 60.0):
             snr = SnrPoint.from_db(db)
             sigma = math.sqrt(1.0 / (4.0 * snr.gamma_lin))
-            for n in (1000, 2**16, 2**16 + 1, 5 * 2**16 + 7):
+            for n in (1000, 40_000, 2**16, 2**16 + 1, 2**16 + 40_000, 5 * 2**16 + 7):
                 sizes = [min(2**16, n - start) for start in range(0, n, 2**16)]
                 expected = sum(oracles.ref_chunk_errors(4, i, k, sigma) for i, k in enumerate(sizes))
                 for workers in (1, 2, 3):
@@ -143,13 +146,49 @@ class TestWorkers:
         monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
         assert simulate(several) == expected
 
+    def test_caller_is_worker_zero(self, monkeypatch):
+        # two workers on three chunks: the calling thread runs chunks 0 and 2,
+        # and the pool starts one thread for chunk 1
+        config = _config(num_symbols=3 * 2**16 + 5)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+        expected = simulate(config)
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+        assert simulate(config) == expected
+        assert len(started) == 1, started
+
+    def test_simulate_memory_is_tile_sized(self, monkeypatch):
+        # A worker keeps one in-phase row of _CHUNK + 1 floats and a
+        # (3, _TILE + 1) block, 1.25 MiB; the run peaks at 1.77 MiB with the
+        # chunk's bits. A (4, _CHUNK + 1) chunk workspace peaked at 2.77 MiB.
+        import tracemalloc
+
+        monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+        config = _config(num_symbols=4 * 2**16)
+        simulate(config)  # imports what simulate imports lazily
+        tracemalloc.start()
+        try:
+            simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 2**20, peak
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt counts page faults on Linux")
     def test_chunks_reuse_memory(self, monkeypatch):
         # Minor page faults of a 16-chunk single-worker run. Allocating fresh
         # float arrays per chunk took 10,240 (640 per chunk, glibc returning
         # them to the OS after each chunk); one workspace per worker takes 0.
-        # The first two runs fault the 2 MB workspace in (1,260 then 512)
-        # while glibc raises its mmap threshold, so two warm-up runs come first.
+        # The first two runs fault the 1.3 MB workspace in (about 2,370 then
+        # 416) while glibc raises its mmap threshold, so two warm-up runs
+        # come first.
         import resource
 
         monkeypatch.setattr(montecarlo, "_workers", lambda: 1)

@@ -5,13 +5,15 @@ tests are exactly the five by-design acceptance failures and nothing errors.
 
 Otherwise it exits 1 and names each unexpected failure or error, and each
 by-design test that now passes: that one passing means a reference table,
-tolerance or gate it asserts was edited. Either way it prints the pass count.
+tolerance or gate it asserts was edited. Either way it prints the pass count
+and the suite's wall time.
 """
 
 import os
 import re
 import subprocess
 import sys
+import time
 
 # Acceptance criteria 2, 3, 4, 5 and 8 assert published values that the
 # paper's own formulas do not meet; the README gives each one's reason.
@@ -22,12 +24,14 @@ BY_DESIGN = {
 
 root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH")))))
+start = time.perf_counter()
 run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "--continue-on-collection-errors"],
                      cwd=root, env=env, capture_output=True, text=True)
 failed = set(re.findall(r"^FAILED (\S+)", run.stdout, re.M))
 errors = set(re.findall(r"^ERROR (\S+)", run.stdout, re.M))
 passed = re.search(r"(\d+) passed", run.stdout)
-print(f"{passed[1] if passed else 0} passed, {len(failed)} failed, {len(errors)} errors")
+wall = time.perf_counter() - start
+print(f"{passed[1] if passed else 0} passed, {len(failed)} failed, {len(errors)} errors in {wall:.1f} s")
 problems = [f"unexpected failure: {t}" for t in sorted(failed - BY_DESIGN)]
 problems += [f"error: {t}" for t in sorted(errors)]
 problems += [f"by-design failure now passes: {t}" for t in sorted(BY_DESIGN - failed)]
