@@ -32,6 +32,9 @@ import numpy as np
 from . import bounds
 from .bounds import SnrPoint
 
+__all__ = ["ApproxSet", "approx_set", "ber1", "ber2", "ber3", "ber4", "ber5", "ber6", "ber7",
+           "evaluate", "omega5", "omega6", "omega7"]
+
 _SQRT_PI_8 = math.sqrt(math.pi / 8.0)
 
 # The sweep columns, in their CSV order.

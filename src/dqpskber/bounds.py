@@ -33,9 +33,11 @@ function here comes from `scipy.special`, imported on first use through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+__all__ = ["BoundSet", "LambdaConstants", "SnrPoint", "bound_set", "channel_params", "exact_ber", "solve_rho0"]
 
 _SQRT2 = math.sqrt(2.0)
 _A_COEF = 2.0 - _SQRT2
@@ -278,4 +280,4 @@ def exact_ber(snr: SnrPoint) -> float:
 
 def bound_set(snr: SnrPoint) -> BoundSet:
     """All five bounds from one shared channel parameterization (see `_FORMULAS`)."""
-    return BoundSet(*_at(snr, ("l1", "l2", "u1", "u2", "u3")))
+    return BoundSet(*_at(snr, tuple(f.name for f in fields(BoundSet))))

@@ -224,6 +224,12 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
+def _echo(token: str) -> str:
+    """`token` with each non-printable character escaped as in repr, so a
+    usage error that quotes it stays one line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in token)
+
+
 def _parse(argv: list[str]) -> dict:
     """`argv` by `_TOP`, then by the table of its command: each argument by
     name, "--out" None if not given. A usage error exits 2, -h/--help 0."""
@@ -237,7 +243,7 @@ def _parse(argv: list[str]) -> dict:
                     sys.stdout.write(_help(args.get("command")))
                     raise SystemExit(0)
                 if not names:
-                    _usage_error(f"unrecognized argument: {token}")
+                    _usage_error(f"unrecognized argument: {_echo(token)}")
                 if len(names) > 1:
                     _usage_error(f"ambiguous option: {name} could match {', '.join(names)}")
                 name = names[0]
@@ -246,7 +252,7 @@ def _parse(argv: list[str]) -> dict:
         else:  # the next positional
             name, value = next((n for n in spec if n[0] != "-" and n not in args), None), token
             if name is None:
-                _usage_error(f"unrecognized argument: {token}")
+                _usage_error(f"unrecognized argument: {_echo(token)}")
         convert, meta = spec[name]
         if meta[0] == "{" and value not in meta[1:-1].split(","):
             _usage_error(f"argument {name}: invalid choice: {value!r} (choose from {meta})")

@@ -51,6 +51,8 @@ import numpy as np
 
 from .bounds import SnrPoint
 
+__all__ = ["McConfig", "McResult", "simulate"]
+
 _CHUNK = 1 << 16
 # quadrature normals are drawn and the arithmetic runs in tiles of this many
 # symbols; 2**14 and 2**13 kept 0.5-1 MB less but ran about 6% slower on two
@@ -190,15 +192,13 @@ def simulate(config: McConfig) -> McResult:
             for i in range(k, chunks, workers)
         )
 
-    if workers == 1:
-        bit_errors = run(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        # the calling thread is worker 0
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            rest = pool.map(run, range(1, workers))
-            bit_errors = run(0) + sum(rest)
+    # the calling thread is worker 0; with one worker nothing is submitted,
+    # so the pool starts no thread
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        rest = pool.map(run, range(1, workers))
+        bit_errors = run(0) + sum(rest)
 
     bits_sent = 2 * num
     p_hat = bit_errors / bits_sent

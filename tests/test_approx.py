@@ -356,6 +356,28 @@ class TestLowSnrBoundaries:
         for name, v in values.items():
             assert np.isfinite(v).all() and (v >= 0.0).all(), name
 
+    def test_cancelling_columns_turn_nan_below_minus_302_db(self):
+        # once 2ab is below half an ulp of 1, 1 - e^{-2ab} rounds to 0 and
+        # E(a,b) to 0 or a rounding error, so a cell is 0/0 or x/0; 0.001 dB
+        # steps over -320..-300 dB, 0.01 dB steps below, down to the smallest
+        # positive double at -3233.06 dB
+        db = np.concatenate([np.arange(-3233060, -320000, 10), np.arange(-320000, -299999)]) / 1000
+        values = approx.evaluate(self._linear(db), ["l2", "ber2", "ber3", "ber6", "ber7"])
+        above, mixed, below = db >= -302.841, (db >= -312.383) & (db <= -302.842), db < -312.383
+        for name, v in values.items():
+            inf, nan = np.isinf(v), np.isnan(v)
+            assert inf[above].all(), name
+            assert (inf | nan)[mixed].all() and inf[mixed].any() and nan[mixed].any(), name
+            assert nan[below].all(), name
+
+    def test_other_columns_finite_and_nonnegative_to_the_smallest_double(self):
+        db = np.arange(-3233060, -9999, 10) / 1000
+        g = np.append(self._linear(db), 5e-324)
+        values = approx.evaluate(g, ["exact", "u1", "u2", "u3", "ber1", "ber5", "w5", "w6", "w7"])
+        values["ber4"] = approx.evaluate(g[g >= 1e-12], ["ber4"])["ber4"]  # its 1e-12 floor
+        for name, v in values.items():
+            assert np.isfinite(v).all() and (v >= 0.0).all(), name
+
 
 class TestEvaluate:
     def test_array_call_matches_scalar_functions(self):

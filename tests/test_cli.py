@@ -333,6 +333,13 @@ USAGE_ERRORS = [
     (("constants", "x"), "x"),
     (("command", "table", "1"), "'command'"),
     (("table", "which", "1"), "which"),
+    # an echoed token escapes its non-printable characters and keeps the rest
+    (("table", "1", "x\ny"), "argument: x\\ny\n"),
+    (("table", "1", "x\ry"), "argument: x\\ry\n"),
+    (("table", "1", "x\tyé"), "argument: x\\tyé\n"),
+    (("table", "1", "--x\ny"), "argument: --x\\ny\n"),
+    (("table", "1", "--x\ry"), "argument: --x\\ry\n"),
+    (("table", "1", "--x\tyé"), "argument: --x\\tyé\n"),
 ]
 
 
