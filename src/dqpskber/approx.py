@@ -37,13 +37,6 @@ __all__ = ["ApproxSet", "approx_set", "ber1", "ber2", "ber3", "ber4", "ber5", "b
 
 _SQRT_PI_8 = math.sqrt(math.pi / 8.0)
 
-# The sweep columns, in their CSV order.
-COLUMNS = (
-    "exact", "l1", "l2", "u1", "u2", "u3", "ber1", "ber2", "ber3", "ber4",
-    "ber5", "ber6", "ber7", "eps5", "eps6", "eps7", "w5", "w6", "w7",
-)
-_KNOWN = frozenset(COLUMNS)
-
 
 @dataclass(frozen=True)
 class ApproxSet:
@@ -59,6 +52,10 @@ class ApproxSet:
     eps5: float
     eps6: float
     eps7: float
+
+
+# The sweep columns, in their CSV order.
+COLUMNS = ("exact", *(f.name for f in fields(bounds.BoundSet) + fields(ApproxSet)), "w5", "w6", "w7")
 
 
 def weighted_mean(x, y, w):
@@ -89,19 +86,6 @@ def omega7(gamma):
     return _weight(gamma, "w7")
 
 
-def _weight_gamma(r, minimum_exclusive: bool) -> np.ndarray:
-    """"gamma" for a weight column, once its NaN rows and those below the
-    weight's domain are recorded through `r.check`; `_evaluate` reports the
-    lowest and discards the values computed there."""
-    g = r["gamma"]
-    ok = g > 0.0 if minimum_exclusive else g >= 0.0  # never at NaN
-    if np.count_nonzero(ok) < ok.size:
-        nan = np.isnan(g)
-        r.check(g, ~nan, "gamma must not be NaN")
-        r.check(g, ok | nan, "gamma must be positive" if minimum_exclusive else "gamma must be >= 0")
-    return g
-
-
 def _ber4(r) -> np.ndarray:
     a, b = r["a"], r["b"]
     head = np.exp(-0.5 * (b + a) ** 2) / np.sqrt(8.0 * math.pi * a * b)
@@ -111,20 +95,23 @@ def _ber4(r) -> np.ndarray:
 
 # The table of `bounds` plus every column built on it: the closed forms in
 # the docstrings of the scalar functions below, and the weights, the only
-# place their branches and domain check are written. The weights read
-# "gamma" through `_weight_gamma`, not "g", as w6 and w7 are defined at 0.
-# Only weighted_mean is looked up at each call, so a wrapper set on the
-# module sees it. eps<k> reads "exact>0", the exact BER once checked,
-# after ber<k>.
+# place their branches and domain checks are written. The weights read
+# "gamma" through their own checks, not "g", as w6 and w7 are defined at 0:
+# "gamma~" is "gamma" once checked for NaN, and "gamma>0" and "gamma>=0"
+# read it, so a NaN row records its NaN message first. eps<k> reads
+# "exact>0", the exact BER once checked, after ber<k>.
 _FORMULAS = {
     **bounds._FORMULAS,
+    "gamma~": lambda r: r.check(g := r["gamma"], ~np.isnan(g), "gamma must not be NaN"),
+    "gamma>0": lambda r: r.check(g := r["gamma~"], g > 0.0, "gamma must be positive"),
+    "gamma>=0": lambda r: r.check(g := r["gamma~"], g >= 0.0, "gamma must be >= 0"),
     "w5": lambda r: np.where(
-        (x := _weight_gamma(r, True)) < 1.0,
+        (x := r["gamma>0"]) < 1.0,
         0.65 * x**0.25,
         0.5 + 1.1 * np.exp(-math.pi / (2.0 * np.sqrt(x))) / x**1.5 * math.sqrt(0.5),
     ),
     "w6": lambda r: np.where(
-        (x := _weight_gamma(r, False)) < 1.0,
+        (x := r["gamma>=0"]) < 1.0,
         np.exp(-x * x / 2.9) * 0.25 + 0.5,
         np.where(
             x < 5.0,
@@ -133,7 +120,7 @@ _FORMULAS = {
         ),
     ),
     "w7": lambda r: np.where(
-        (x := _weight_gamma(r, False)) < 1.0,
+        (x := r["gamma>=0"]) < 1.0,
         (1.0 - x) ** 2 * 0.95,
         np.where(x < 8.0, 0.5 - 1.4 * np.exp(-(x**1.2)) + 0.02, 1.0 / (5.2 * x) + 0.5),
     ),
@@ -160,8 +147,8 @@ def evaluate(gamma_lin, columns) -> dict[str, np.ndarray]:
     a requested column is undefined, with the scalar function's message.
     """
     columns = tuple(columns)  # read a one-shot iterable once
-    if not _KNOWN.issuperset(columns):
-        raise ValueError(f"unknown columns {[c for c in columns if c not in _KNOWN]!r}")
+    if unknown := [c for c in columns if c not in COLUMNS]:
+        raise ValueError(f"unknown columns {unknown!r}")
     return bounds._evaluate(np.atleast_1d(np.asarray(gamma_lin, dtype=float)), columns, _FORMULAS)
 
 

@@ -52,8 +52,7 @@ _A_LO = -1.4349369327986523e-17
 # exp(-g (2 - sqrt 2)) underflows to 0 beyond this g, so there the exact
 # BER is 0 whatever the node count.
 _G_UNDERFLOW = 746.0 / _A_HI
-# SNRs per block of the exact sum (64 nodes each), and rows per block of the
-# CSV renderer.
+# SNRs per block of the exact sum (64 nodes each).
 _ROWS = 4096
 # The trapezoid table of `_exact`. Row j holds the nodes k < 64 of the sum
 # on N = 2 (32 + j) = 2 _HALF nodes: u = 2 sin^2(pi k/N), and the weight 1

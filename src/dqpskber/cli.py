@@ -35,9 +35,10 @@ import sys
 import numpy as np
 
 from . import approx, bounds, montecarlo
-from .bounds import _ROWS  # rows per block of `_csv`, which bounds the renderer's temporaries
 
 _MAX_GRID_POINTS = 10**7
+# Rows per block of `_csv`, which bounds the renderer's temporaries.
+_ROWS = 4096
 
 # table number -> (CSV header, columns evaluated on the linear SNR grid 1..12)
 _TABLES = {
@@ -186,7 +187,7 @@ def _parse_columns(text: str) -> list[str]:
     columns = [c for c in map(str.strip, text.split(",")) if c]
     if not columns:
         raise ValueError("column list must not be empty")
-    if unknown := [c for c in columns if c not in approx._KNOWN]:
+    if unknown := [c for c in columns if c not in approx.COLUMNS]:
         raise ValueError(f"unknown columns {unknown!r}; valid: {', '.join(approx.COLUMNS)}")
     return list(dict.fromkeys(columns))
 

@@ -225,6 +225,66 @@ class TestRelativeError:
                 approx.approx_set(bounds.SnrPoint.from_db(db))
 
 
+class TestIdealWeight:
+    # The weight that makes the mean w l + (1 - w) u exact is
+    # w* = (u - exact)/(u - l), and then eps = (w - w*)(l - u)/exact: how far
+    # each paper weight is from the best one its bound pair allows.
+    PAIRS = {5: ("l1", "u1"), 6: ("l2", "u2"), 7: ("l2", "u3")}
+
+    @classmethod
+    def _ideal(cls, values, k):
+        lower, upper = (values[name] for name in cls.PAIRS[k])
+        return (upper - values["exact"]) / (upper - lower), lower - upper
+
+    @pytest.mark.parametrize("k, rel", [(5, 2e-12), (6, 2e-11), (7, 2e-10)])
+    def test_eps_from_the_ideal_weight_on_the_table_grid(self, k, rel):
+        # measured: 1.06e-12, 1.24e-11 and 1.28e-10 at worst
+        values = approx.evaluate(np.arange(1.0, 13.0), approx.COLUMNS)
+        ideal, gap = self._ideal(values, k)
+        eps, column = (values[f"w{k}"] - ideal) * gap / values["exact"], values[f"eps{k}"]
+        assert np.all(np.abs(eps - column) <= rel * np.abs(column))
+
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_eps_from_the_ideal_weight_on_the_accuracy_grid(self, k):
+        # w* loses digits to the cancellation in u - l: about ulp(u)/(u - l)
+        # of itself, 2e-13 at 30 dB. Multiplying w - w* by l - u gives them
+        # back, so the identity's error is absolute, about one ulp of 1, like
+        # that of eps itself (measured: at most 1.16 ulp).
+        # It is relative only where |eps| is large against that; where eps
+        # nears 0 (|eps| down to 3e-10 for eps7 at 10.8 dB) the relative
+        # error reaches 5e-8 (at most 2e-10 wherever |eps| >= 1e-6).
+        gs = np.concatenate([10.0 ** (np.linspace(lo, hi, 2001) / 10) for lo, hi in ((-10, 0), (0, 10), (10, 20), (20, 30.5))])
+        values = approx.evaluate(gs, approx.COLUMNS)
+        ideal, gap = self._ideal(values, k)
+        eps, column = (values[f"w{k}"] - ideal) * gap / values["exact"], values[f"eps{k}"]
+        assert np.abs(eps - column).max() <= 2.0 * np.spacing(1.0)
+        large = np.abs(column) >= 1e-6
+        assert np.all(np.abs(eps - column)[large] <= 2e-10 * np.abs(column[large]))
+
+    def test_weights_implied_by_table3(self):
+        # Table 3 prints each eps with three significant digits, truncated or
+        # rounded, so the true value is within one unit of the third digit,
+        # and the weight it implies, w* + eps exact/(l - u), within that unit
+        # times exact/|l - u| of the weight the table was computed with.
+        values = approx.evaluate(np.arange(1.0, 13.0), approx.COLUMNS)
+        outside = {}
+        for column, k in enumerate(self.PAIRS):
+            ideal, gap = self._ideal(values, k)
+            for i, (g, row) in enumerate(TABLE3.items()):
+                printed = row[column]
+                assert float(f"{printed:.2e}") == printed
+                unit = 10.0 ** (math.floor(math.log10(abs(printed))) - 2)
+                implied = ideal[i] + printed * values["exact"][i] / gap[i]
+                if abs(implied - values[f"w{k}"][i]) > unit * values["exact"][i] / abs(gap[i]):
+                    outside[(k, g)] = implied
+        # 32 of the 36 cells fit the package's weights; the other four are
+        # the eps5 cells of criterion 3, whose omega5 is not the one printed
+        # (see the README)
+        assert sorted(outside) == [(5, 1), (5, 2), (5, 3), (5, 4)]
+        assert [round(outside[(5, g)], 4) for g in (1, 2, 3)] == [0.593, 0.5843, 0.5599]
+        assert round(outside[(5, 4)], 5) == 0.54429
+
+
 class TestAccuracyTable:
     def test_readme_cells_are_the_measured_worst_errors(self):
         # each cell of the README's accuracy table is its band's largest

@@ -615,6 +615,7 @@ class TestGolden:
         code, out, _ = _run(capsys, *ALL_DB_SWEEP)
         assert code == 0
         expected = (GOLDEN / "sweep_all_db.csv").read_text().splitlines()
+        assert expected[0] == "gamma_db," + ",".join(approx.COLUMNS)
         lines = out.splitlines()
         assert lines[0] == expected[0] and len(lines) == len(expected)
         columns = lines[0].split(",")

@@ -8,39 +8,18 @@ interpreter, because the test process has scipy loaded already."""
 import contextlib
 import dataclasses
 import io
-import json
-import os
-import subprocess
-import sys
-import textwrap
 from pathlib import Path
 
 import numpy as np
 
-import dqpskber
 from dqpskber import SnrPoint, approx, approx_set, cli, evaluate, solve_rho0
 
-SRC = str(Path(dqpskber.__file__).resolve().parent.parent)
 GOLDEN = Path(__file__).parent / "golden"
 SWEEP_EXACT = ["sweep", "--start", "-10", "--stop", "30", "--step", "0.5", "--scale", "db", "--cols", "exact"]
 
 
-def _fresh(script: str) -> dict:
-    """Run `script` in a new interpreter with this package first on its path; its last stdout line is JSON."""
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
-
-
-def test_import_exact_ber_and_help_load_no_scipy():
-    got = _fresh(
+def test_import_exact_ber_and_help_load_no_scipy(fresh):
+    got = fresh(
         """
         import contextlib, dataclasses, io, json, sys
         import numpy as np
@@ -82,8 +61,8 @@ def test_import_exact_ber_and_help_load_no_scipy():
     assert got["sweep"] == sweep.getvalue()
 
 
-def test_mc_loads_no_scipy():
-    got = _fresh(
+def test_mc_loads_no_scipy(fresh):
+    got = fresh(
         """
         import contextlib, io, json, sys
         from dqpskber import cli
@@ -99,8 +78,8 @@ def test_mc_loads_no_scipy():
     assert got["out"].encode() == (GOLDEN / "mc_3db.csv").read_bytes()
 
 
-def test_concurrent_first_closed_form_calls_agree():
-    got = _fresh(
+def test_concurrent_first_closed_form_calls_agree(fresh):
+    got = fresh(
         """
         import json, sys, threading
         import numpy as np

@@ -5,12 +5,7 @@ the package's `__all__` is their concatenation. The Marcum Q cross-checks
 are not part of it, but stay reachable as `dqpskber.specfun.*`, where
 perfbench probes and traces them."""
 
-import json
-import os
 import re
-import subprocess
-import sys
-import textwrap
 from pathlib import Path
 
 import dqpskber
@@ -23,15 +18,6 @@ SPANS = {"ber1..ber7": [f"ber{k}" for k in range(1, 8)], "omega5..omega7": [f"om
 EXPORTING = (approx, bounds, montecarlo)
 
 
-def _fresh(script: str):
-    """The JSON that `script` prints, run in a new interpreter on this checkout's package."""
-    src = str(Path(dqpskber.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
-
-
 def test_every_exported_name_is_documented():
     readme = README.read_text()
     named = set(re.findall(r"\w+", readme))
@@ -40,7 +26,7 @@ def test_every_exported_name_is_documented():
     assert [name for name in dqpskber.__all__ if name not in named] == []
 
 
-def test_cross_checks_are_reached_through_specfun_only():
+def test_cross_checks_are_reached_through_specfun_only(fresh):
     script = """
         import json, sys
         import dqpskber
@@ -52,14 +38,14 @@ def test_cross_checks_are_reached_through_specfun_only():
             "exported": [r for r in routes if r in dqpskber.__all__ or hasattr(dqpskber, r)],
         }))
     """
-    assert _fresh(script) == {
+    assert fresh(script) == {
         "same_module": True,
         "routes": ["bessel_i0_scaled", "marcum_q_quad", "marcum_q_series"],
         "exported": [],
     }
 
 
-def test_each_public_name_is_declared_once_in_its_module():
+def test_each_public_name_is_declared_once_in_its_module(fresh):
     for module in EXPORTING:
         foreign = [name for name in module.__all__ if getattr(module, name).__module__ != module.__name__]
         assert foreign == [], module.__name__
@@ -73,5 +59,5 @@ def test_each_public_name_is_declared_once_in_its_module():
         import dqpskber
         print(json.dumps([sorted(set(namespace) - {"__builtins__"}), sorted(dqpskber.__all__)]))
     """
-    bound, exported = _fresh(script)
+    bound, exported = fresh(script)
     assert bound == exported == sorted(names)

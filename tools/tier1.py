@@ -5,8 +5,10 @@ tests are exactly the five by-design acceptance failures and nothing errors.
 
 Otherwise it exits 1 and names each unexpected failure or error, and each
 by-design test that now passes: that one passing means a reference table,
-tolerance or gate it asserts was edited. Either way it prints the pass count
-and the suite's wall time.
+tolerance or gate it asserts was edited. Either way it prints the pass count,
+the suite's wall time and, sorted, the short-summary line of each by-design
+failure (`FAILED <test> - AssertionError: <first line of its message>`), so
+the output of two checkouts diffs to show whether those messages changed.
 """
 
 import os
@@ -23,15 +25,18 @@ BY_DESIGN = {
 }
 
 root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH")))))
+# a wide COLUMNS keeps pytest from cutting each short-summary line at the terminal width
+env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH")))), COLUMNS="100000")
 start = time.perf_counter()
 run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "--continue-on-collection-errors"],
                      cwd=root, env=env, capture_output=True, text=True)
-failed = set(re.findall(r"^FAILED (\S+)", run.stdout, re.M))
+summary = re.findall(r"^(FAILED (\S+).*)$", run.stdout, re.M)
+failed = {test for _, test in summary}
 errors = set(re.findall(r"^ERROR (\S+)", run.stdout, re.M))
 passed = re.search(r"(\d+) passed", run.stdout)
 wall = time.perf_counter() - start
 print(f"{passed[1] if passed else 0} passed, {len(failed)} failed, {len(errors)} errors in {wall:.1f} s")
+print("\n".join(sorted(line for line, test in summary if test in BY_DESIGN)))
 problems = [f"unexpected failure: {t}" for t in sorted(failed - BY_DESIGN)]
 problems += [f"error: {t}" for t in sorted(errors)]
 problems += [f"by-design failure now passes: {t}" for t in sorted(BY_DESIGN - failed)]
